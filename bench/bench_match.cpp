@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
         // but only after the whole shard has been consulted bit-parallel).
         scenarios[0].keys.push_back(randomEntry(rng, bits, 0.0));
         // Hit-heavy: a stored row with its wildcards forced definite.
-        const auto& base = *scalar->at(occupiedRows[static_cast<std::size_t>(
+        const auto base = *scalar->at(occupiedRows[static_cast<std::size_t>(
             rng.uniformInt(0, static_cast<int>(occupiedRows.size()) - 1))]);
         tcam::TernaryWord key(static_cast<std::size_t>(bits));
         for (int b = 0; b < bits; ++b) {

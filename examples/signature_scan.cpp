@@ -1,10 +1,12 @@
-// Signature scanning end-to-end on a TcamMacro: compile an HTTP-flavoured
-// signature dictionary into ternary patterns, load them into a hardware
-// macro, stream text tokens through it, and read off hit statistics and
-// accumulated energy — the deep-packet-inspection use case.
+// Signature scanning end-to-end on a serve::QueryEngine: compile an
+// HTTP-flavoured signature dictionary into ternary patterns, load them into
+// the engine, stream text tokens through it as one batch, and read off hit
+// statistics and accumulated energy — the deep-packet-inspection use case.
 #include <cstdio>
+#include <vector>
 
 #include "core/fetcam.hpp"
+#include "serve/query_engine.hpp"
 
 using namespace fetcam;
 
@@ -21,46 +23,50 @@ int main() {
     dict.add("../", 7);          // path traversal signature
     dict.add("<script", 8);      // XSS signature
 
-    // Load into a hardware macro (proposed energy-aware FeFET design).
-    array::ArrayConfig cfg = core::proposedDesign(static_cast<int>(kWidth) * 8, 64).config;
-    cfg.selectivePrecharge = false;  // signatures often differ only mid-word
-    core::TcamMacro macro(device::TechCard::cmos45(), cfg, 64);
-    for (const auto& e : dict.entries()) macro.write(apps::compileToken(e.token, kWidth));
+    // Load into an engine on the proposed energy-aware FeFET design.
+    serve::EngineOptions options;
+    options.tech = device::TechCard::cmos45();
+    options.shard = core::proposedDesign(static_cast<int>(kWidth) * 8, 64).config;
+    options.shard.selectivePrecharge = false;  // signatures often differ only mid-word
+    options.capacity = 64;
+    serve::QueryEngine engine(options);
+    for (const auto& e : dict.entries()) engine.insert(apps::compileToken(e.token, kWidth));
 
     const char* stream[] = {
         "GET /admin/x",  "GET /api/user", "GET /index",   "POST /login",
         "POST /upload",  "PUT /file",     "../etc/passwd", "<script>aler",
         "DELETE /tmp",   "GET /api/keys", "HEAD /",        "POST /login",
     };
+    std::vector<tcam::TernaryWord> keys;
+    for (const char* s : stream) keys.push_back(apps::compileText(s, kWidth));
+    const auto rows = engine.searchBatch(keys).rows;
 
     std::printf("%-16s %-10s %-10s\n", "input", "tcam row", "tag");
     int hits = 0;
-    for (const char* s : stream) {
-        const auto key = apps::compileText(s, kWidth);
-        const auto row = macro.search(key);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const char* s = stream[i];
+        const std::int64_t row = rows[i];
         const auto tag = dict.match(s);
-        // The macro's row order mirrors dictionary priority: verify agreement.
-        if (row.has_value() != tag.has_value()) {
-            std::printf("MISMATCH between functional model and macro for '%s'\n", s);
+        // The engine's row order mirrors dictionary priority: verify agreement.
+        if ((row >= 0) != tag.has_value()) {
+            std::printf("MISMATCH between functional model and engine for '%s'\n", s);
             return 1;
         }
-        hits += row.has_value();
-        std::printf("%-16s %-10s %-10s\n", s,
-                    row ? std::to_string(*row).c_str() : "-",
+        hits += row >= 0;
+        std::printf("%-16s %-10s %-10s\n", s, row >= 0 ? std::to_string(row).c_str() : "-",
                     tag ? std::to_string(*tag).c_str() : "-");
     }
 
-    const auto& st = macro.stats();
-    std::printf("\n%llu signatures loaded, %llu scans, %d hits\n",
-                static_cast<unsigned long long>(st.writes),
-                static_cast<unsigned long long>(st.searches), hits);
+    const auto st = engine.stats();
+    std::printf("\n%lld signatures loaded, %lld scans, %d hits\n",
+                static_cast<long long>(st.inserts), static_cast<long long>(st.queries), hits);
     std::printf("energy: %s total (%s searching at %s/scan, %s loading)\n",
-                core::engFormat(st.totalEnergy(), "J").c_str(),
+                core::engFormat(st.searchEnergy + st.writeEnergy, "J").c_str(),
                 core::engFormat(st.searchEnergy, "J").c_str(),
-                core::engFormat(macro.energyPerSearch(), "J").c_str(),
+                core::engFormat(engine.energyPerQuery(), "J").c_str(),
                 core::engFormat(st.writeEnergy, "J").c_str());
     std::printf("scan latency %s -> %s scans/s sustained\n",
-                core::engFormat(macro.searchLatency(), "s").c_str(),
-                core::engFormat(1.0 / macro.hardware().cycleTime, "").c_str());
+                core::engFormat(engine.queryLatency(), "s").c_str(),
+                core::engFormat(1.0 / engine.hardware().cycleTime, "").c_str());
     return 0;
 }

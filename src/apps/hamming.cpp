@@ -6,12 +6,11 @@
 namespace fetcam::apps {
 
 void AssociativeMemory::add(const tcam::TernaryWord& word) {
-    if (word.size() != bits_)
+    if (word.size() != bits())
         throw std::invalid_argument("AssociativeMemory::add: width mismatch");
     if (word.wildcardCount() != 0)
         throw std::invalid_argument("AssociativeMemory::add: wildcards not allowed");
-    const auto row = static_cast<std::int64_t>(rows_.size());
-    rows_.push_back(word);
+    const std::int64_t row = planes_.rows();
     planes_.ensureRows(row + 1);
     planes_.set(row, word);
 }
@@ -19,15 +18,15 @@ void AssociativeMemory::add(const tcam::TernaryWord& word) {
 std::vector<std::size_t> AssociativeMemory::distances(const tcam::TernaryWord& query) const {
     // Width is validated once per query; the per-row counts come from the
     // bit-plane kernel, 64 rows per machine word.
-    if (query.size() != bits_)
+    if (query.size() != bits())
         throw std::invalid_argument("AssociativeMemory::distances: width mismatch");
-    std::vector<std::size_t> out(rows_.size());
-    if (!rows_.empty()) planes_.mismatchCounts(tcam::KeySlices::of(query), out.data());
+    std::vector<std::size_t> out(size());
+    if (!out.empty()) planes_.mismatchCounts(tcam::KeySlices::of(query), out.data());
     return out;
 }
 
 NearestResult AssociativeMemory::nearest(const tcam::TernaryWord& query) const {
-    if (rows_.empty()) throw std::logic_error("AssociativeMemory::nearest: empty memory");
+    if (size() == 0) throw std::logic_error("AssociativeMemory::nearest: empty memory");
     const auto d = distances(query);
     NearestResult best{0, d[0], true};
     for (std::size_t i = 1; i < d.size(); ++i) {
@@ -53,7 +52,7 @@ std::vector<double> AssociativeMemory::dischargeTimes(const tcam::TernaryWord& q
 
 NearestResult AssociativeMemory::nearestViaDischarge(const tcam::TernaryWord& query,
                                                      double tauUnit) const {
-    if (rows_.empty())
+    if (size() == 0)
         throw std::logic_error("AssociativeMemory::nearestViaDischarge: empty memory");
     const auto d = distances(query);
     const auto times = dischargeTimes(query, tauUnit);

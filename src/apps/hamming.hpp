@@ -31,15 +31,13 @@ struct NearestResult {
 
 class AssociativeMemory {
 public:
-    explicit AssociativeMemory(std::size_t bits)
-        : bits_(bits), planes_(static_cast<int>(bits)) {}
+    explicit AssociativeMemory(std::size_t bits) : planes_(static_cast<int>(bits)) {}
 
     /// Store a fully-definite word. Throws on width mismatch or wildcards.
     void add(const tcam::TernaryWord& word);
 
-    std::size_t size() const { return rows_.size(); }
-    std::size_t bits() const { return bits_; }
-    const std::vector<tcam::TernaryWord>& rows() const { return rows_; }
+    std::size_t size() const { return static_cast<std::size_t>(planes_.rows()); }
+    std::size_t bits() const { return static_cast<std::size_t>(planes_.bits()); }
 
     /// Exact nearest row by Hamming distance (golden model).
     NearestResult nearest(const tcam::TernaryWord& query) const;
@@ -64,9 +62,7 @@ public:
                                       double tauUnit = 1e-9) const;
 
 private:
-    std::size_t bits_;
-    std::vector<tcam::TernaryWord> rows_;
-    tcam::TernaryPlanes planes_;  ///< bit-sliced mirror of rows_, all occupied
+    tcam::TernaryPlanes planes_;  ///< the stored rows, all occupied
 };
 
 }  // namespace fetcam::apps

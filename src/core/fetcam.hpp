@@ -23,7 +23,6 @@
 #include "array/word_sim.hpp"
 #include "core/design_space.hpp"
 #include "core/report.hpp"
-#include "core/tcam_macro.hpp"
 #include "core/tuner.hpp"
 #include "device/netlist.hpp"
 #include "device/fefet.hpp"

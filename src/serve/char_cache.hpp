@@ -10,8 +10,8 @@
 // the solver itself is deterministic — on every subsequent hit.
 //
 // The cache plugs into the analytic models through array::WordSimFn
-// (evaluateArray / evaluateBank / TcamMacro all accept a provider), so the
-// cached and uncached paths share every line of scaling arithmetic.
+// (evaluateArray / evaluateBank / characterizeMlc all accept a provider), so
+// the cached and uncached paths share every line of scaling arithmetic.
 //
 // Persistence: constructed with a store::StoreConfig the cache becomes a
 // warm-restartable service — prior characterizations load from the on-disk
@@ -133,7 +133,7 @@ public:
     tcam::WriteEnergyResult characterizeWrite(tcam::CellKind kind,
                                               const device::TechCard& tech);
 
-    /// Adapter for the evaluateArray/evaluateBank/TcamMacro `sim` hook.
+    /// Adapter for the evaluateArray/evaluateBank/characterizeMlc `sim` hook.
     /// The returned function references *this; keep the cache alive.
     array::WordSimFn provider();
 

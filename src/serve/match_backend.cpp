@@ -43,8 +43,12 @@ public:
         entries_[static_cast<std::size_t>(row)].reset();
     }
 
-    const std::optional<tcam::TernaryWord>& at(std::int64_t row) const override {
+    std::optional<tcam::TernaryWord> at(std::int64_t row) const override {
         return entries_[static_cast<std::size_t>(row)];
+    }
+
+    bool occupied(std::int64_t row) const override {
+        return entries_[static_cast<std::size_t>(row)].has_value();
     }
 
     std::unique_ptr<MatchBackend> clone() const override {
@@ -75,30 +79,23 @@ private:
     std::vector<std::optional<tcam::TernaryWord>> entries_;
 };
 
-/// Bit-plane backend: the planes answer every search; a word mirror serves
-/// at() so introspection stays exact without unpacking trits from planes.
+/// Bit-plane backend: the planes are the only copy of every entry. They
+/// answer every search, and at() decodes a row's trits back out of them.
 class BitPlaneBackend final : public MatchBackend {
 public:
-    BitPlaneBackend(std::int64_t rows, int bits)
-        : MatchBackend(rows, bits),
-          planes_(bits, rows),
-          mirror_(static_cast<std::size_t>(rows)) {}
+    BitPlaneBackend(std::int64_t rows, int bits) : MatchBackend(rows, bits), planes_(bits, rows) {}
 
     MatchBackendKind kind() const noexcept override { return MatchBackendKind::BitPlane; }
 
-    void set(std::int64_t row, const tcam::TernaryWord& word) override {
-        planes_.set(row, word);
-        mirror_[static_cast<std::size_t>(row)] = word;
+    void set(std::int64_t row, const tcam::TernaryWord& word) override { planes_.set(row, word); }
+
+    void clear(std::int64_t row) override { planes_.clear(row); }
+
+    std::optional<tcam::TernaryWord> at(std::int64_t row) const override {
+        return planes_.get(row);
     }
 
-    void clear(std::int64_t row) override {
-        planes_.clear(row);
-        mirror_[static_cast<std::size_t>(row)].reset();
-    }
-
-    const std::optional<tcam::TernaryWord>& at(std::int64_t row) const override {
-        return mirror_[static_cast<std::size_t>(row)];
-    }
+    bool occupied(std::int64_t row) const override { return planes_.occupied(row); }
 
     std::unique_ptr<MatchBackend> clone() const override {
         return std::make_unique<BitPlaneBackend>(*this);
@@ -119,7 +116,6 @@ public:
 
 private:
     tcam::TernaryPlanes planes_;
-    std::vector<std::optional<tcam::TernaryWord>> mirror_;
 };
 
 /// Paranoid mode: every query runs on both backends and any divergence is a
@@ -142,9 +138,11 @@ public:
         planes_.clear(row);
     }
 
-    const std::optional<tcam::TernaryWord>& at(std::int64_t row) const override {
+    std::optional<tcam::TernaryWord> at(std::int64_t row) const override {
         return planes_.at(row);
     }
+
+    bool occupied(std::int64_t row) const override { return planes_.occupied(row); }
 
     std::unique_ptr<MatchBackend> clone() const override {
         return std::make_unique<CheckedBackend>(*this);

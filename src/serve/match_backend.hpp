@@ -68,10 +68,11 @@ public:
     virtual void clear(std::int64_t row) = 0;
 
     /// Entry at `row` (nullopt when empty) — introspection, not hot path.
-    /// The reference is into this backend's storage: when the backend is a
-    /// copy-on-write snapshot (the engine's shards), keep the snapshot alive
-    /// while the reference is used.
-    virtual const std::optional<tcam::TernaryWord>& at(std::int64_t row) const = 0;
+    virtual std::optional<tcam::TernaryWord> at(std::int64_t row) const = 0;
+
+    /// Whether `row` holds an entry — what mutation and replay ask instead
+    /// of decoding the whole word through at().
+    virtual bool occupied(std::int64_t row) const = 0;
 
     /// Deep copy with identical entries — the copy-on-write primitive behind
     /// the engine's mutable shard snapshots. Backends are value types

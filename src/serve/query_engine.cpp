@@ -124,9 +124,9 @@ void QueryEngine::attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& sha
             auto& shard = shards[static_cast<std::size_t>(d.row / rowsPerShard_)];
             const std::int64_t local = d.row % rowsPerShard_;
             if (d.op == store::DeltaOp::Insert) {
-                if (!shard->at(local)) ++occupied;
+                if (!shard->occupied(local)) ++occupied;
                 shard->set(local, wordOf(d.trits));
-            } else if (shard->at(local)) {
+            } else if (shard->occupied(local)) {
                 shard->clear(local);
                 --occupied;
             }
@@ -256,7 +256,7 @@ std::int64_t QueryEngine::insert(const tcam::TernaryWord& word) {
     // Every row below freeHint_ is occupied (erase lowers the hint), so
     // starting the scan there assigns exactly the row a scan from 0 would.
     for (std::int64_t r = freeHint_; r < capacity_; ++r) {
-        if ((*table)[static_cast<std::size_t>(r / rowsPerShard_)]->at(r % rowsPerShard_))
+        if ((*table)[static_cast<std::size_t>(r / rowsPerShard_)]->occupied(r % rowsPerShard_))
             continue;
         publishMutationLocked(*table, r, &word);
         occupied_.fetch_add(1, std::memory_order_relaxed);
@@ -275,7 +275,7 @@ void QueryEngine::insertAt(std::int64_t row, const tcam::TernaryWord& word) {
     std::lock_guard<std::mutex> lock(mutMutex_);
     const auto table = table_.load(std::memory_order_acquire);
     const bool wasEmpty =
-        !(*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_);
+        !(*table)[static_cast<std::size_t>(row / rowsPerShard_)]->occupied(row % rowsPerShard_);
     publishMutationLocked(*table, row, &word);
     if (wasEmpty) occupied_.fetch_add(1, std::memory_order_relaxed);
     // Overwriting an occupied row is still a full word program — charge it.
@@ -286,7 +286,7 @@ void QueryEngine::erase(std::int64_t row) {
     checkRow(row);
     std::lock_guard<std::mutex> lock(mutMutex_);
     const auto table = table_.load(std::memory_order_acquire);
-    if (!(*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_))
+    if (!(*table)[static_cast<std::size_t>(row / rowsPerShard_)]->occupied(row % rowsPerShard_))
         return;  // no-op: nothing stored, nothing charged, nothing logged
     publishMutationLocked(*table, row, nullptr);
     occupied_.fetch_sub(1, std::memory_order_relaxed);
@@ -627,7 +627,7 @@ bool QueryEngine::compactTable() {
     std::vector<store::Record> records;
     records.reserve(static_cast<std::size_t>(occupied_.load(std::memory_order_relaxed)));
     for (std::int64_t row = 0; row < capacity_; ++row) {
-        const auto& entry =
+        const auto entry =
             (*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_);
         if (!entry) continue;
         store::DeltaRecord d;

@@ -213,7 +213,9 @@ struct SubmitOptions {
 
 class QueryEngine {
 public:
-    /// Functional storage ceiling (same rationale as TcamMacro's).
+    /// Functional storage ceiling. The bank model prices any capacity, but
+    /// the engine materializes every row, so a larger table is refused with
+    /// InvalidSpec instead of attempting a multi-GiB allocation.
     static constexpr std::int64_t kMaxCapacity = std::int64_t{1} << 28;
 
     /// Characterizes the bank up front through `cache` (shared across

@@ -59,6 +59,19 @@ void TernaryPlanes::clear(std::int64_t row) {
     occ_[static_cast<std::size_t>(row >> 6)] &= ~(std::uint64_t{1} << (row & 63));
 }
 
+std::optional<TernaryWord> TernaryPlanes::get(std::int64_t row) const {
+    if (!occupied(row)) return std::nullopt;
+    const int shift = static_cast<int>(row & 63);
+    const std::uint64_t* value = value_.data() + planeIndex(row >> 6, 0);
+    const std::uint64_t* care = care_.data() + planeIndex(row >> 6, 0);
+    TernaryWord word(static_cast<std::size_t>(bits_));
+    for (int b = 0; b < bits_; ++b)
+        if ((care[b] >> shift) & 1u)
+            word[static_cast<std::size_t>(b)] =
+                (value[b] >> shift) & 1u ? Trit::One : Trit::Zero;
+    return word;
+}
+
 std::int64_t TernaryPlanes::findFirstMatch(std::int64_t begin, std::int64_t end,
                                            const KeySlices& key) const {
     if (begin < 0) begin = 0;

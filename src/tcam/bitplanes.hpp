@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "tcam/ternary.hpp"
@@ -69,6 +70,10 @@ public:
     bool occupied(std::int64_t row) const {
         return (occ_[static_cast<std::size_t>(row >> 6)] >> (row & 63)) & 1u;
     }
+
+    /// The word stored at `row`, decoded exactly from the planes (care 0 ->
+    /// X, else the value bit); nullopt when unoccupied.
+    std::optional<TernaryWord> get(std::int64_t row) const;
 
     /// Lowest occupied row in [begin, end) matching `key`, or -1 — the
     /// shard-local priority encoder. begin/end need not be 64-aligned.

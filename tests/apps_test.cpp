@@ -152,12 +152,13 @@ TEST(Hamming, DistancesMatchPerRowMismatchCount) {
     numeric::Rng rng(5);
     for (const std::size_t bits : {5u, 64u, 77u}) {
         AssociativeMemory mem(bits);
-        const int rows = 70;
-        for (int r = 0; r < rows; ++r) {
+        std::vector<tcam::TernaryWord> stored;
+        for (int r = 0; r < 70; ++r) {
             tcam::TernaryWord w(bits);
             for (std::size_t b = 0; b < bits; ++b)
                 w[b] = rng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
             mem.add(w);
+            stored.push_back(w);
         }
         for (int q = 0; q < 10; ++q) {
             tcam::TernaryWord key(bits);
@@ -166,7 +167,7 @@ TEST(Hamming, DistancesMatchPerRowMismatchCount) {
             const auto d = mem.distances(key);
             ASSERT_EQ(d.size(), mem.size());
             for (std::size_t r = 0; r < d.size(); ++r)
-                EXPECT_EQ(d[r], mem.rows()[r].mismatchCount(key));
+                EXPECT_EQ(d[r], stored[r].mismatchCount(key));
         }
     }
 }

@@ -12,6 +12,7 @@
 //      whatever bytes arrive, the server keeps serving well-formed peers.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -96,6 +97,24 @@ private:
 
 void expectAccountingInvariant(const net::ServerStats& s) {
     EXPECT_EQ(s.queries, s.hits + s.misses + s.shedQueries + s.expiredQueries);
+}
+
+/// Turns observability on for one test, so the server's net.* counters run.
+struct ScopedObs {
+    ScopedObs() { obs::setEnabled(true); }
+    ~ScopedObs() { obs::setEnabled(false); }
+};
+
+/// Waits until obs counter `name` reaches `target`; false after `timeout`
+/// seconds. Counters are atomic, so this is safe while the server runs
+/// (ServerStats is not: only the server thread may touch it before stop()).
+bool waitForCounter(const char* name, long long target, double timeout = 5.0) {
+    const double until = obs::monotonicSeconds() + timeout;
+    while (obs::counter(name).value() < target) {
+        if (obs::monotonicSeconds() > until) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
 }
 
 }  // namespace
@@ -415,6 +434,8 @@ TEST(NetServer, DisconnectMidFrameCountedAsTruncated) {
 }
 
 TEST(NetServer, ClientFaultPlanInjectsTornFrame) {
+    ScopedObs obsOn;
+    const long long errorsBefore = obs::counter("net.proto_errors").value();
     ServerHarness h;
     recover::FaultPlan plan;
     recover::FaultSpec spec;
@@ -444,8 +465,9 @@ TEST(NetServer, ClientFaultPlanInjectsTornFrame) {
     }
     client.close();
 
-    for (int i = 0; i < 100 && h.stats().protoErrors == 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // The torn frame is counted once the server reads the first
+    // connection's EOF; stop only after that, or the drain may skip it.
+    EXPECT_TRUE(waitForCounter("net.proto_errors", errorsBefore + 1));
     h.stop();
     EXPECT_EQ(h.stats().errorCounts[static_cast<std::size_t>(net::ProtoError::Truncated)],
               1);
@@ -453,8 +475,10 @@ TEST(NetServer, ClientFaultPlanInjectsTornFrame) {
 }
 
 TEST(NetServer, DrainAnswersInFlightThenExits) {
+    ScopedObs obsOn;
+    const long long queriesBefore = obs::counter("net.queries").value();
     net::ServerOptions opts;
-    opts.coalesceWindow = 0.2;  // queries sit pending when the stop arrives
+    opts.coalesceWindow = 60.0;  // longer than the query timeout: only the drain flushes
     ServerHarness h(opts);
     net::Client client;
     client.connect("127.0.0.1", h.port());
@@ -466,7 +490,8 @@ TEST(NetServer, DrainAnswersInFlightThenExits) {
         EXPECT_EQ(res.reply.rows[0], 0);
         EXPECT_EQ(res.reply.rows[1], -1);
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Stop only once the server has parsed both queries and holds them.
+    EXPECT_TRUE(waitForCounter("net.queries", queriesBefore + 2));
     h.server().requestStop();
     querier.join();
     h.stop();

@@ -1,7 +1,8 @@
 // Parallel sweep engine tests: parallelFor semantics, and the determinism
 // contract of the sweeps built on it — Monte Carlo with jobs=N must be
 // bit-for-bit identical to jobs=1 (including failure accounting under an
-// installed FaultPlan), and searchMany must equal a sequential search loop.
+// installed FaultPlan) — and batched engine search must validate every key
+// before it fans out.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +11,10 @@
 #include <vector>
 
 #include "array/montecarlo.hpp"
-#include "core/tcam_macro.hpp"
 #include "numeric/parallel.hpp"
 #include "recover/fault_injection.hpp"
+#include "recover/sim_error.hpp"
+#include "serve/query_engine.hpp"
 
 using namespace fetcam;
 
@@ -181,43 +183,22 @@ TEST(ParallelMonteCarlo, StrictModeThrowsSameErrorForAnyJobs) {
     }
 }
 
-TEST(ParallelSearch, SearchManyMatchesSequentialSearch) {
-    array::ArrayConfig cfg;
-    cfg.cell = tcam::CellKind::FeFet2;
-    cfg.wordBits = 8;
-    cfg.rows = 8;
-    core::TcamMacro a(device::TechCard::cmos45(), cfg, 8);
-    core::TcamMacro b(device::TechCard::cmos45(), cfg, 8);
-    for (const char* w : {"1010XXXX", "10100000", "XXXXXXXX", "01010101"}) {
-        a.write(tcam::TernaryWord::fromString(w));
-        b.write(tcam::TernaryWord::fromString(w));
-    }
-    std::vector<tcam::TernaryWord> keys;
-    for (const char* k : {"10100000", "10101111", "01010101", "00000000",
-                          "11111111", "10100001"})
-        keys.push_back(tcam::TernaryWord::fromString(k));
-
-    std::vector<std::optional<int>> expected;
-    for (const auto& k : keys) expected.push_back(a.search(k));
-
-    const auto got = b.searchMany(keys, /*jobs=*/4);
-    EXPECT_EQ(got, expected);
-    // Identical accounting: N searchMany keys cost the same as N searches.
-    EXPECT_EQ(a.stats().searches, b.stats().searches);
-    EXPECT_EQ(a.stats().hits, b.stats().hits);
-    EXPECT_DOUBLE_EQ(a.stats().searchEnergy, b.stats().searchEnergy);
-}
-
 TEST(ParallelSearch, SearchManyValidatesAllKeysUpFront) {
-    array::ArrayConfig cfg;
-    cfg.cell = tcam::CellKind::FeFet2;
-    cfg.wordBits = 8;
-    cfg.rows = 8;
-    core::TcamMacro macro(device::TechCard::cmos45(), cfg, 8);
-    macro.write(tcam::TernaryWord::fromString("00000000"));
-    const auto before = macro.stats().searches;
-    std::vector<tcam::TernaryWord> keys = {tcam::TernaryWord::fromString("00000000"),
-                                           tcam::TernaryWord::fromString("00")};
-    EXPECT_THROW(macro.searchMany(keys), recover::SimError);
-    EXPECT_EQ(macro.stats().searches, before);  // nothing charged on reject
+    serve::EngineOptions options;
+    options.shard.cell = tcam::CellKind::FeFet2;
+    options.shard.wordBits = 8;
+    options.shard.rows = 8;
+    options.capacity = 8;
+    options.batchSize = 2;  // several tiles, so the bad key lands in a late one
+    serve::QueryEngine engine(options);
+    engine.insert(tcam::TernaryWord::fromString("00000000"));
+    const auto before = engine.stats();
+    std::vector<tcam::TernaryWord> keys(7, tcam::TernaryWord::fromString("00000000"));
+    keys.push_back(tcam::TernaryWord::fromString("00"));
+    EXPECT_THROW(engine.searchBatch(keys, /*jobs=*/4), recover::SimError);
+    const auto after = engine.stats();  // nothing charged on reject
+    EXPECT_EQ(after.queries, before.queries);
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.batches, before.batches);
+    EXPECT_EQ(after.searchEnergy, before.searchEnergy);
 }

@@ -9,13 +9,13 @@
 //      app services reproduce their reference implementations exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "core/tcam_macro.hpp"
 #include "numeric/stats.hpp"
 #include "obs/obs.hpp"
 #include "recover/sim_error.hpp"
@@ -139,14 +139,45 @@ TEST(CharCache, VariationsAndWaveformsBypass) {
 }
 
 TEST(CharCache, MacroBuildsThroughProvider) {
-    const auto tech = device::TechCard::cmos45();
-    const auto cfg = smallConfig();
+    // Built through the cache provider, the engine prices the bank exactly
+    // as an uncached evaluateBank of the same geometry does.
     auto cache = std::make_shared<serve::CharacterizationCache>();
-
-    core::TcamMacro plain(tech, cfg, 8);
-    core::TcamMacro cached(tech, cfg, 8, {}, cache->provider());
-    expectSameBank(plain.hardware(), cached.hardware());
+    const auto options = smallOptions(8, 4, 20);
+    const serve::QueryEngine cached(options, cache);
     EXPECT_GT(cache->stats().misses, 0);
+    expectSameBank(evaluateBank(options.tech, options.shard, options.capacity), cached.hardware());
+}
+
+// The TcamMacro suite holds the single-macro contract — capacity
+// provisioning and per-operation energy accounting — as QueryEngine serves it.
+TEST(TcamMacro, CapacityRoundsUpToSubArrays) {
+    // 10 words at 8 rows per shard provision 2 whole sub-arrays = 16 rows.
+    const serve::QueryEngine rounded(smallOptions(8, 8, 10));
+    EXPECT_EQ(rounded.capacity(), 16);
+    EXPECT_EQ(rounded.shards(), 2);
+    EXPECT_EQ(rounded.rowsPerShard(), 8);
+    EXPECT_EQ(rounded.hardware().subArrays, 2);
+}
+
+TEST(TcamMacro, EnergyAccounting) {
+    serve::QueryEngine engine(smallOptions(8, 8, 8));
+    engine.insert(tcam::TernaryWord::fromString("00000000"));
+    const auto r = engine.searchBatch({tcam::TernaryWord::fromString("00000000"),
+                                       tcam::TernaryWord::fromString("11111111")});
+    EXPECT_EQ(r.rows, (std::vector<std::int64_t>{0, -1}));
+
+    const auto s = engine.stats();
+    const auto write = engine.writeCost();
+    EXPECT_EQ(s.inserts, 1);
+    EXPECT_EQ(s.queries, 2);
+    EXPECT_EQ(s.hits, 1);
+    EXPECT_DOUBLE_EQ(s.searchEnergy, 2.0 * engine.energyPerQuery());
+    EXPECT_DOUBLE_EQ(r.energy, s.searchEnergy);
+    EXPECT_DOUBLE_EQ(s.writeEnergy, write.energy);
+    EXPECT_DOUBLE_EQ(s.writeLatency, write.latency);
+    EXPECT_GT(s.searchEnergy + s.writeEnergy, 0.0);
+    EXPECT_GT(engine.queryLatency(), 0.0);
+    EXPECT_GT(write.latency, 0.0);
 }
 
 TEST(QueryEngine, GlobalPriorityAcrossShards) {
@@ -175,6 +206,12 @@ TEST(QueryEngine, GlobalPriorityAcrossShards) {
     r = engine.searchBatch({tcam::TernaryWord::fromString("00110011")});
     EXPECT_EQ(r.rows[0], -1);
     EXPECT_EQ(r.hits, 0);
+
+    // Every executed query is charged the bank's per-search energy.
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.queries, 4);
+    EXPECT_DOUBLE_EQ(stats.searchEnergy,
+                     static_cast<double>(stats.queries) * engine.energyPerQuery());
 }
 
 TEST(QueryEngine, ColdWarmAndJobsAreByteIdentical) {
@@ -238,10 +275,16 @@ TEST(QueryEngine, RejectsBadSpecsAndBadKeys) {
     EXPECT_THROW(engine.insertAt(0, tcam::TernaryWord(9)), recover::SimError);
 
     // A bad key anywhere in the batch fails up front: no partial accounting.
+    engine.insert(tcam::TernaryWord(8));
+    engine.searchBatch({tcam::TernaryWord(8, tcam::Trit::One)});
+    const auto before = engine.stats();
     std::vector<tcam::TernaryWord> keys{tcam::TernaryWord(8), tcam::TernaryWord(7)};
     EXPECT_THROW(engine.searchBatch(keys), recover::SimError);
-    EXPECT_EQ(engine.stats().queries, 0);
-    EXPECT_EQ(engine.stats().batches, 0);
+    const auto after = engine.stats();
+    EXPECT_EQ(after.queries, before.queries);
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.batches, before.batches);
+    EXPECT_EQ(after.searchEnergy, before.searchEnergy);
 }
 
 TEST(QueryEngine, InsertFindsFirstFreeRow) {
@@ -420,24 +463,24 @@ TEST(QueryEngineAdmission, ConcurrentOverloadSheds) {
     serve::QueryEngine engine(options);
     engine.insert(tcam::TernaryWord::fromBits(5, 8));
 
-    // A batch large enough that the worker is observably in flight. If the
-    // worker finishes before we can collide with it, retry with more keys.
+    // Probe only once the bulk batch is observed in flight, so the probe
+    // collides with it: no attempt can pass without a collision. A bulk that
+    // finishes before it is seen in flight (or between that sighting and
+    // the probe) proves nothing either way; only then retry, with more keys.
     const std::vector<tcam::TernaryWord> probe = {tcam::TernaryWord::fromBits(5, 8)};
     bool shedObserved = false;
     std::int64_t big = 1 << 16;
-    for (int attempt = 0; attempt < 8 && !shedObserved; ++attempt, big *= 2) {
+    for (int attempt = 0; attempt < 4 && !shedObserved; ++attempt, big *= 2) {
         const std::vector<tcam::TernaryWord> bulk(
             static_cast<std::size_t>(big), tcam::TernaryWord::fromBits(5, 8));
         serve::SubmitResult bulkResult;
-        std::thread worker(
-            [&] { bulkResult = engine.submitBatch(bulk, /*jobs=*/1); });
-        while (engine.inFlightBatches() > 0) {
-            const auto r = engine.submitBatch(probe, 1);
-            if (!r.admitted()) {
-                shedObserved = true;
-                break;
-            }
-        }
+        std::atomic<bool> bulkDone{false};
+        std::thread worker([&] {
+            bulkResult = engine.submitBatch(bulk, /*jobs=*/1);
+            bulkDone.store(true);
+        });
+        while (!bulkDone.load() && engine.inFlightBatches() == 0) std::this_thread::yield();
+        if (engine.inFlightBatches() > 0) shedObserved = !engine.submitBatch(probe, 1).admitted();
         worker.join();
         EXPECT_TRUE(bulkResult.admitted());
     }
