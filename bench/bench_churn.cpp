@@ -112,7 +112,7 @@ ChurnResult runChurn(std::int64_t rows, int bits, double duration, double update
     serve::EngineOptions base;
     base.shard.cell = tcam::CellKind::FeFet2;
     base.shard.sense = array::SenseScheme::LowSwing;
-    base.shard.rows = 64;  // shard spans one whole bit-plane block
+    base.shard.rows = 64;  // priced as 64-row sub-arrays
     base.shard.wordBits = bits;
     base.capacity = rows;
     serve::QueryEngine engine(base);

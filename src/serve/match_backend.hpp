@@ -1,7 +1,7 @@
 // Pluggable functional-match backends for the query engine's hot path.
 //
 // The engine's serving loop reduces to one primitive — "lowest occupied row
-// in [begin, end) matching this key" (the shard-local priority encoder) —
+// in [begin, end) matching this key" (the chunk-local priority encoder) —
 // plus the bit-parallel mismatchCounts the similarity workloads ride. This
 // interface makes the implementation swappable:
 //
@@ -19,7 +19,7 @@
 // bench_match on every run.
 //
 // Width discipline: the engine validates key widths once per batch, then
-// calls prepare() once per key and findFirst() once per (key, shard) — no
+// calls prepare() once per key and findFirst() once per (key, chunk) — no
 // per-call width checks anywhere on the hot path.
 #pragma once
 
@@ -75,14 +75,14 @@ public:
     virtual bool occupied(std::int64_t row) const = 0;
 
     /// Deep copy with identical entries — the copy-on-write primitive behind
-    /// the engine's mutable shard snapshots. Backends are value types
+    /// the engine's mutable chunk snapshots. Backends are value types
     /// underneath, so a clone and its source never share storage.
     virtual std::unique_ptr<MatchBackend> clone() const = 0;
 
     /// Decompose a (width-validated) key once per batch.
     virtual PreparedKey prepare(const tcam::TernaryWord& key) const = 0;
 
-    /// Shard-local priority encoder: lowest occupied matching row in
+    /// Chunk-local priority encoder: lowest occupied matching row in
     /// [begin, end), or -1.
     virtual std::int64_t findFirst(std::int64_t begin, std::int64_t end,
                                    const PreparedKey& key) const = 0;

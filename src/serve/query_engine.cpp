@@ -60,23 +60,23 @@ QueryEngine::QueryEngine(EngineOptions options, std::shared_ptr<Characterization
         throw recover::SimError(recover::SimErrorReason::InvalidSpec, "QueryEngine",
                                 "provisioned capacity exceeds functional storage limit");
     capacity_ = bank_.totalEntries;
-    rowsPerShard_ = bank_.rowsPerArray;
 
-    // One backend per shard, so a mutation clones one shard, not the table.
-    std::vector<std::unique_ptr<MatchBackend>> shards;
-    shards.reserve(static_cast<std::size_t>(bank_.subArrays));
-    for (std::int64_t s = 0; s < bank_.subArrays; ++s)
-        shards.push_back(
-            makeMatchBackend(options_.backend, rowsPerShard_, options_.shard.wordBits));
+    // One backend per kChunkRows chunk, so a mutation clones one chunk, not
+    // the table; the last chunk holds the remainder.
+    std::vector<std::unique_ptr<MatchBackend>> chunks;
+    for (std::int64_t begin = 0; begin < capacity_; begin += kChunkRows)
+        chunks.push_back(makeMatchBackend(options_.backend,
+                                          std::min(kChunkRows, capacity_ - begin),
+                                          options_.shard.wordBits));
 
-    // Replay any persisted entry deltas into the still-private shards, then
+    // Replay any persisted entry deltas into the still-private chunks, then
     // freeze them into the first published snapshot.
-    attachTableLog(shards);
+    attachTableLog(chunks);
 
     auto table = std::make_shared<Table>();
-    table->reserve(shards.size());
-    for (auto& s : shards)
-        table->push_back(std::shared_ptr<const MatchBackend>(std::move(s)));
+    table->reserve(chunks.size());
+    for (auto& c : chunks)
+        table->push_back(std::shared_ptr<const MatchBackend>(std::move(c)));
     table_.store(std::move(table), std::memory_order_release);
 }
 
@@ -88,7 +88,7 @@ QueryEngine::~QueryEngine() {
     }
 }
 
-void QueryEngine::attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& shards) {
+void QueryEngine::attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& chunks) {
     if (!options_.persistEntries || !options_.store.enabled()) return;
     store::StoreConfig cfg = options_.store;
     cfg.schemaVersion = store::kTableSchemaVersion;
@@ -121,13 +121,13 @@ void QueryEngine::attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& sha
         }
         std::int64_t occupied = 0;
         for (const auto& d : deltas) {
-            auto& shard = shards[static_cast<std::size_t>(d.row / rowsPerShard_)];
-            const std::int64_t local = d.row % rowsPerShard_;
+            auto& chunk = chunks[static_cast<std::size_t>(d.row / kChunkRows)];
+            const std::int64_t local = d.row % kChunkRows;
             if (d.op == store::DeltaOp::Insert) {
-                if (!shard->occupied(local)) ++occupied;
-                shard->set(local, wordOf(d.trits));
-            } else if (shard->occupied(local)) {
-                shard->clear(local);
+                if (!chunk->occupied(local)) ++occupied;
+                chunk->set(local, wordOf(d.trits));
+            } else if (chunk->occupied(local)) {
+                chunk->clear(local);
                 --occupied;
             }
         }
@@ -199,15 +199,15 @@ sim::MlcCharacterization QueryEngine::simCost() {
 
 void QueryEngine::publishMutationLocked(const Table& table, std::int64_t row,
                                         const tcam::TernaryWord* word) {
-    const auto shard = static_cast<std::size_t>(row / rowsPerShard_);
-    const std::int64_t local = row % rowsPerShard_;
+    const auto chunk = static_cast<std::size_t>(row / kChunkRows);
+    const std::int64_t local = row % kChunkRows;
     auto next = std::make_shared<Table>(table);
-    auto clone = table[shard]->clone();
+    auto clone = table[chunk]->clone();
     if (word)
         clone->set(local, *word);
     else
         clone->clear(local);
-    (*next)[shard] = std::shared_ptr<const MatchBackend>(std::move(clone));
+    (*next)[chunk] = std::shared_ptr<const MatchBackend>(std::move(clone));
     table_.store(std::move(next), std::memory_order_release);
 }
 
@@ -256,8 +256,7 @@ std::int64_t QueryEngine::insert(const tcam::TernaryWord& word) {
     // Every row below freeHint_ is occupied (erase lowers the hint), so
     // starting the scan there assigns exactly the row a scan from 0 would.
     for (std::int64_t r = freeHint_; r < capacity_; ++r) {
-        if ((*table)[static_cast<std::size_t>(r / rowsPerShard_)]->occupied(r % rowsPerShard_))
-            continue;
+        if (chunkOf(*table, r).occupied(r % kChunkRows)) continue;
         publishMutationLocked(*table, r, &word);
         occupied_.fetch_add(1, std::memory_order_relaxed);
         freeHint_ = r + 1;
@@ -274,8 +273,7 @@ void QueryEngine::insertAt(std::int64_t row, const tcam::TernaryWord& word) {
                                 "QueryEngine::insertAt", "word width mismatch");
     std::lock_guard<std::mutex> lock(mutMutex_);
     const auto table = table_.load(std::memory_order_acquire);
-    const bool wasEmpty =
-        !(*table)[static_cast<std::size_t>(row / rowsPerShard_)]->occupied(row % rowsPerShard_);
+    const bool wasEmpty = !chunkOf(*table, row).occupied(row % kChunkRows);
     publishMutationLocked(*table, row, &word);
     if (wasEmpty) occupied_.fetch_add(1, std::memory_order_relaxed);
     // Overwriting an occupied row is still a full word program — charge it.
@@ -286,7 +284,7 @@ void QueryEngine::erase(std::int64_t row) {
     checkRow(row);
     std::lock_guard<std::mutex> lock(mutMutex_);
     const auto table = table_.load(std::memory_order_acquire);
-    if (!(*table)[static_cast<std::size_t>(row / rowsPerShard_)]->occupied(row % rowsPerShard_))
+    if (!chunkOf(*table, row).occupied(row % kChunkRows))
         return;  // no-op: nothing stored, nothing charged, nothing logged
     publishMutationLocked(*table, row, nullptr);
     occupied_.fetch_sub(1, std::memory_order_relaxed);
@@ -297,7 +295,7 @@ void QueryEngine::erase(std::int64_t row) {
 std::optional<tcam::TernaryWord> QueryEngine::entryAt(std::int64_t row) const {
     checkRow(row);
     const auto table = table_.load(std::memory_order_acquire);
-    return (*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_);
+    return chunkOf(*table, row).at(row % kChunkRows);
 }
 
 BatchResult QueryEngine::searchBatch(const std::vector<tcam::TernaryWord>& keys, int jobs) {
@@ -312,22 +310,13 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
             throw recover::SimError(recover::SimErrorReason::InvalidSpec,
                                     "QueryEngine::searchBatch", "key width mismatch");
 
-    // One root load per batch: every tile and every shard scan below sees
+    // One root load per batch: every tile and every chunk scan below sees
     // the same table version, however many mutations land meanwhile — the
     // result is always valid at a single point in the mutation order.
     const std::shared_ptr<const Table> table = table_.load(std::memory_order_acquire);
-    const Table& shardsRef = *table;
+    const Table& chunks = *table;
 
     const bool obsOn = obs::enabled();
-    if (obsOn) {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        if (shardHists_.empty()) {
-            shardHists_.reserve(static_cast<std::size_t>(shards()));
-            for (std::int64_t s = 0; s < shards(); ++s)
-                shardHists_.push_back(
-                    &obs::histogram("serve.shard" + std::to_string(s) + ".seconds"));
-        }
-    }
     const double t0 = obsOn ? obs::monotonicSeconds() : 0.0;
 
     BatchResult out;
@@ -336,28 +325,23 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
     const auto n = static_cast<std::int64_t>(keys.size());
     const std::int64_t tileSize = options_.batchSize;
     const auto tiles = static_cast<int>((n + tileSize - 1) / tileSize);
-    const std::int64_t numShards = static_cast<std::int64_t>(shardsRef.size());
 
     // Fan the tiles out across the team. Each worker owns its tile's result
-    // slots outright, and the shard scans inside a tile run in a fixed
-    // order, so the merge below never depends on the schedule.
-    const std::int64_t rowsPerShard = rowsPerShard_;
-    const std::int64_t cap = capacity_;
+    // slots outright, and the chunk scans inside a tile run in a fixed
+    // order, so the result never depends on the schedule.
     numeric::parallelFor(jobs, tiles, [&](int tile) {
         const std::int64_t lo = static_cast<std::int64_t>(tile) * tileSize;
         const std::int64_t hi = std::min(lo + tileSize, n);
         // Each key is decomposed once per tile (widths were validated above)
-        // and the prepared form is reused across every shard scan.
+        // and the prepared form is reused across every chunk scan.
         std::vector<PreparedKey> prepared;
         prepared.reserve(static_cast<std::size_t>(hi - lo));
         for (std::int64_t i = lo; i < hi; ++i)
-            prepared.push_back(shardsRef[0]->prepare(keys[static_cast<std::size_t>(i)]));
-        for (std::int64_t s = 0; s < numShards; ++s) {
-            // Shard s holds global rows [s * rowsPerShard, ...) locally.
-            const std::int64_t begin = s * rowsPerShard;
-            const std::int64_t localEnd = std::min(rowsPerShard, cap - begin);
-            const MatchBackend& shard = *shardsRef[static_cast<std::size_t>(s)];
-            const double ts0 = obsOn ? obs::monotonicSeconds() : 0.0;
+            prepared.push_back(chunks[0]->prepare(keys[static_cast<std::size_t>(i)]));
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            // Chunk c holds global rows [c * kChunkRows, ...) locally.
+            const auto begin = static_cast<std::int64_t>(c) * kChunkRows;
+            const MatchBackend& chunk = *chunks[c];
             for (std::int64_t i = lo; i < hi; ++i) {
                 // Deadline-shed queries never reach the scan: mark and skip.
                 if (expired && (*expired)[static_cast<std::size_t>(i)]) {
@@ -365,17 +349,14 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
                     continue;
                 }
                 auto& best = out.rows[static_cast<std::size_t>(i)];
-                // Shards cover ascending row ranges, so the first shard to
-                // report a match holds the global winner: later shards
-                // cannot beat it and are skipped.
+                // Chunks cover ascending row ranges, so the first chunk to
+                // report a match holds the global winner (the priority
+                // encoder): later chunks cannot beat it and are skipped.
                 if (best >= 0) continue;
-                const std::int64_t local =
-                    shard.findFirst(0, localEnd, prepared[static_cast<std::size_t>(i - lo)]);
+                const std::int64_t local = chunk.findFirst(
+                    0, chunk.rows(), prepared[static_cast<std::size_t>(i - lo)]);
                 if (local >= 0) best = begin + local;
             }
-            if (obsOn && hi > lo)
-                shardHists_[static_cast<std::size_t>(s)]->observe(
-                    (obs::monotonicSeconds() - ts0) / static_cast<double>(hi - lo));
         }
     });
 
@@ -429,10 +410,10 @@ SimilarityBatchResult QueryEngine::similarityBatch(
     // the fan-out keeps the parallel region free of cache traffic.
     const sim::MlcCharacterization cost = simCost();
 
-    // One root load per batch — every tile and shard scan sees the same
+    // One root load per batch — every tile and chunk scan sees the same
     // table version (see searchBatchMasked).
     const std::shared_ptr<const Table> table = table_.load(std::memory_order_acquire);
-    const Table& shardsRef = *table;
+    const Table& chunks = *table;
 
     const bool obsOn = obs::enabled();
     const double t0 = obsOn ? obs::monotonicSeconds() : 0.0;
@@ -443,15 +424,13 @@ SimilarityBatchResult QueryEngine::similarityBatch(
     const auto n = static_cast<std::int64_t>(keys.size());
     const std::int64_t tileSize = options_.batchSize;
     const auto tiles = static_cast<int>((n + tileSize - 1) / tileSize);
-    const std::int64_t numShards = static_cast<std::int64_t>(shardsRef.size());
-    const std::int64_t rowsPerShard = rowsPerShard_;
-    const std::int64_t cap = capacity_;
 
     // Tiles fan out across the team; each worker owns its tile's hit slots.
     // Unlike the priority search there is no early-out: a nearer row can
-    // live in any shard, so every shard contributes its counts. Shards are
-    // scanned in ascending order and the selector's (distance, row) order
-    // is total, so the merged result is schedule-independent.
+    // live in any chunk, so every chunk contributes its counts. Chunks (the
+    // kChunkRows storage unit, not the priced shards) are scanned in
+    // ascending order and the selector's (distance, row) order is total, so
+    // the merged result is schedule-independent.
     numeric::parallelFor(jobs, tiles, [&](int tile) {
         const std::int64_t lo = static_cast<std::int64_t>(tile) * tileSize;
         const std::int64_t hi = std::min(lo + tileSize, n);
@@ -460,19 +439,18 @@ SimilarityBatchResult QueryEngine::similarityBatch(
         std::vector<sim::TopSelector> selectors;
         selectors.reserve(static_cast<std::size_t>(hi - lo));
         for (std::int64_t i = lo; i < hi; ++i) {
-            prepared.push_back(shardsRef[0]->prepare(keys[static_cast<std::size_t>(i)]));
+            prepared.push_back(chunks[0]->prepare(keys[static_cast<std::size_t>(i)]));
             selectors.emplace_back(options);
         }
-        std::vector<std::size_t> counts(static_cast<std::size_t>(rowsPerShard));
-        for (std::int64_t s = 0; s < numShards; ++s) {
-            const std::int64_t begin = s * rowsPerShard;
-            const std::int64_t localEnd = std::min(rowsPerShard, cap - begin);
-            const MatchBackend& shard = *shardsRef[static_cast<std::size_t>(s)];
+        std::vector<std::size_t> counts(static_cast<std::size_t>(kChunkRows));
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            const auto begin = static_cast<std::int64_t>(c) * kChunkRows;
+            const MatchBackend& chunk = *chunks[c];
             for (std::int64_t i = lo; i < hi; ++i) {
-                shard.mismatchCounts(prepared[static_cast<std::size_t>(i - lo)],
+                chunk.mismatchCounts(prepared[static_cast<std::size_t>(i - lo)],
                                      counts.data());
                 auto& sel = selectors[static_cast<std::size_t>(i - lo)];
-                for (std::int64_t r = 0; r < localEnd; ++r) {
+                for (std::int64_t r = 0; r < chunk.rows(); ++r) {
                     const std::size_t d = counts[static_cast<std::size_t>(r)];
                     if (d == tcam::kNoEntry) continue;  // empty row
                     sel.consider(begin + r, d);
@@ -627,8 +605,7 @@ bool QueryEngine::compactTable() {
     std::vector<store::Record> records;
     records.reserve(static_cast<std::size_t>(occupied_.load(std::memory_order_relaxed)));
     for (std::int64_t row = 0; row < capacity_; ++row) {
-        const auto entry =
-            (*table)[static_cast<std::size_t>(row / rowsPerShard_)]->at(row % rowsPerShard_);
+        const auto entry = chunkOf(*table, row).at(row % kChunkRows);
         if (!entry) continue;
         store::DeltaRecord d;
         d.op = store::DeltaOp::Insert;

@@ -6,27 +6,33 @@
 // margin), which comes from the characterization cache and is charged
 // analytically per query without ever touching the solver.
 //
-// Organization mirrors the hardware (and the F14 bank model):
-//   * entries shard across sub-array banks (`options.shard.rows` rows each),
-//   * incoming queries batch, and batches fan out across worker threads with
-//     numeric::parallelFor (deterministic for any jobs value),
-//   * every shard reports its local priority-encoder result (lowest matching
-//     row) and a merge stage picks the globally lowest row, exactly like the
-//     two-level priority encoder the bank model prices,
-//   * the scan itself runs on a pluggable MatchBackend — bit-plane
-//     (value/care bit-slices, 64 entries per machine word) by default, with
-//     the scalar row-scan kept as a bit-identical cross-check oracle and a
-//     checked mode that runs both (see match_backend.hpp).
+// Two layouts, deliberately decoupled:
+//   * the *priced* geometry mirrors the hardware (and the F14 bank model):
+//     entries shard across sub-array banks of `options.shard.rows` rows,
+//     each with a local priority encoder feeding a global one. bank_,
+//     shards(), rowsPerShard(), energyPerQuery() and report() describe it;
+//   * the *software* layout is fixed kChunkRows-row chunks, whatever the
+//     priced shard size: a chunk is the unit the engine scans and the unit
+//     of copy-on-write. Chunks cover ascending row ranges, so the first
+//     chunk to report a match holds the lowest matching row — the same
+//     answer the two-level encoder gives — and every answer is independent
+//     of shard.rows; only the energy accounting follows the priced shards.
+// Incoming queries batch, and batches fan out across worker threads with
+// numeric::parallelFor (deterministic for any jobs value). The scan itself
+// runs on a pluggable MatchBackend — bit-plane (value/care bit-slices, 64
+// entries per machine word) by default, with the scalar row-scan kept as a
+// bit-identical cross-check oracle and a checked mode that runs both (see
+// match_backend.hpp).
 //
 // Concurrency: mutations are safe while batches are in flight. The table is
 // one atomically-published snapshot — a shared_ptr to an immutable vector of
-// per-shard MatchBackend snapshots. A search loads that root pointer once
-// per batch and scans a fully consistent version of every shard; a mutation
-// (serialized by a writer mutex) clones only the affected shard, swaps the
+// per-chunk MatchBackend snapshots. A search loads that root pointer once
+// per batch and scans a fully consistent version of every chunk; a mutation
+// (serialized by a writer mutex) clones only the affected chunk, swaps the
 // root, and never blocks readers. Publishing the whole table through a
-// single root — rather than one atomic pointer per shard — is what makes a
-// cross-shard search linearizable: with per-shard pointers an ascending scan
-// could mix shard versions and report a result that was valid at no single
+// single root — rather than one atomic pointer per chunk — is what makes a
+// cross-chunk search linearizable: with per-chunk pointers an ascending scan
+// could mix chunk versions and report a result that was valid at no single
 // point in the mutation order. Retired snapshots are reclaimed by
 // shared_ptr refcounts once the last in-flight batch drops them (RCU with
 // reference counting standing in for grace periods). Lock order:
@@ -60,8 +66,7 @@
 // obs integration (when obs::enabled()): serve.queries / serve.hits /
 // serve.batches counters, serve.admission.accepted / serve.admission.shed,
 // serve.writes.inserts / serve.writes.erases, a serve.write.energy gauge,
-// serve.qps, a serve.batch.seconds histogram, per-shard
-// serve.shard<i>.seconds latency histograms, serve.cache.* from the
+// serve.qps, a serve.batch.seconds histogram, serve.cache.* from the
 // underlying cache, and store.* from its persistent backing.
 #pragma once
 
@@ -81,10 +86,6 @@
 #include "store/delta_log.hpp"
 #include "tcam/write_schedule.hpp"
 
-namespace fetcam::obs {
-class Histogram;
-}
-
 namespace fetcam::serve {
 
 struct AdmissionOptions {
@@ -95,7 +96,8 @@ struct AdmissionOptions {
 
 struct EngineOptions {
     device::TechCard tech = device::TechCard::cmos45();
-    /// Per-shard sub-array geometry; shard.rows is the shard size.
+    /// Priced sub-array geometry; shard.rows is the shard size the bank
+    /// model prices (storage is laid out in QueryEngine::kChunkRows chunks).
     array::ArrayConfig shard;
     /// Total words the engine must hold (rounded up to whole shards).
     std::int64_t capacity = 0;
@@ -218,6 +220,11 @@ public:
     /// InvalidSpec instead of attempting a multi-GiB allocation.
     static constexpr std::int64_t kMaxCapacity = std::int64_t{1} << 28;
 
+    /// Rows per storage chunk — the scan and copy-on-write unit (16 bit-plane
+    /// blocks), independent of the priced shard.rows. A mutation clones one
+    /// chunk; the last chunk holds the capacity's remainder.
+    static constexpr std::int64_t kChunkRows = 1024;
+
     /// Characterizes the bank up front through `cache` (shared across
     /// engines to amortize; when omitted, a private cache is created —
     /// store-backed if options.store.dir is set). After construction,
@@ -326,16 +333,22 @@ public:
     std::string report() const;
 
 private:
-    /// The published table: one immutable snapshot per shard. Readers load
-    /// the root once per batch; writers clone-and-swap under mutMutex_.
+    /// The published table: one immutable snapshot per kChunkRows chunk.
+    /// Readers load the root once per batch; writers clone-and-swap under
+    /// mutMutex_.
     using Table = std::vector<std::shared_ptr<const MatchBackend>>;
+
+    /// The chunk holding global `row` (its local row is row % kChunkRows).
+    static const MatchBackend& chunkOf(const Table& table, std::int64_t row) {
+        return *table[static_cast<std::size_t>(row / kChunkRows)];
+    }
 
     void checkRow(std::int64_t row) const;
     /// searchBatch with an optional per-query skip mask (expired deadlines):
     /// masked queries get kRowDeadlineExpired without being scanned.
     BatchResult searchBatchMasked(const std::vector<tcam::TernaryWord>& keys,
                                   const std::vector<char>* expired, int jobs);
-    /// Clone the affected shard, mutate it, publish the new table. Caller
+    /// Clone the affected chunk, mutate it, publish the new table. Caller
     /// holds mutMutex_. `word` null = clear the row.
     void publishMutationLocked(const Table& table, std::int64_t row,
                                const tcam::TernaryWord* word);
@@ -345,16 +358,15 @@ private:
                               const tcam::TernaryWord* word);
     tcam::WordWriteResult writeCostLocked();
     sim::MlcCharacterization simCostLocked();
-    /// Open the delta log and replay it into the pre-publication shards.
+    /// Open the delta log and replay it into the pre-publication chunks.
     /// Constructor-only (no concurrency yet).
-    void attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& shards);
+    void attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& chunks);
     void degradeTableLogLocked(const recover::SimError& e);
 
     EngineOptions options_;
     std::shared_ptr<CharacterizationCache> cache_;
     array::BankMetrics bank_;
-    std::int64_t capacity_ = 0;       ///< bank_.totalEntries
-    std::int64_t rowsPerShard_ = 0;   ///< bank_.rowsPerArray
+    std::int64_t capacity_ = 0;  ///< bank_.totalEntries
     /// Entry storage root. Readers: one acquire load per batch. Writers:
     /// copy-on-write swap under mutMutex_.
     std::atomic<std::shared_ptr<const Table>> table_;
@@ -369,10 +381,9 @@ private:
     std::optional<sim::MlcCharacterization> simCost_;  ///< lazy, cached
     std::unique_ptr<store::CharStore> tableLog_;  ///< null when not persisting
     TableLogStatus tableLogStatus_;
-    mutable std::mutex statsMutex_;  ///< guards stats_ + shardHists_ init
+    mutable std::mutex statsMutex_;  ///< guards stats_
     EngineStats stats_;
     std::atomic<int> inFlight_{0};
-    std::vector<obs::Histogram*> shardHists_;  ///< filled lazily when obs is on
 };
 
 }  // namespace fetcam::serve

@@ -1,7 +1,8 @@
 // Mutation-under-load contract tests: the RCU-snapshot table, first-free-row
 // insert order, write-cost accounting, the churn workload's differential
-// bit-identity against a naive oracle, and warm restart of a mutated table
-// through the entry delta log.
+// bit-identity against a naive oracle, warm restart of a mutated table
+// through the entry delta log, and the fixed-size chunk layout (chunk edges,
+// answers independent of the priced shard size).
 //
 // The thread tests are written to be meaningful under TSan (the CI
 // thread-sanitize job runs this binary): concurrent searchers race a mutator
@@ -9,6 +10,7 @@
 // mutation order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -20,6 +22,7 @@
 #include "numeric/stats.hpp"
 #include "serve/match_backend.hpp"
 #include "serve/query_engine.hpp"
+#include "sim/similarity.hpp"
 #include "tcam/write.hpp"
 #include "tcam/write_schedule.hpp"
 
@@ -426,4 +429,242 @@ TEST(ChurnWorkload, IsSeedDeterministic) {
     const auto qa = a.queryStream(16, 0.5, 123);
     const auto qb = b.queryStream(16, 0.5, 123);
     for (std::size_t q = 0; q < qa.size(); ++q) ASSERT_TRUE(qa[q] == qb[q]);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk layout: the engine scans and clones fixed kChunkRows-row chunks,
+// whatever shard.rows the bank is priced at. Rows either side of each chunk
+// edge, a partial last chunk, and answers that never depend on shard.rows.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::int64_t kChunk = serve::QueryEngine::kChunkRows;
+/// Two full chunks and a partial third, in whole 4-row shards.
+constexpr std::int64_t kEdgeCapacity = 2500;
+static_assert(kEdgeCapacity > 2 * kChunk && kEdgeCapacity % kChunk != 0);
+static_assert(kEdgeCapacity % 4 == 0);
+constexpr std::int64_t kEdgeRows[] = {kChunk - 1, kChunk, 2 * kChunk - 1,
+                                      kEdgeCapacity - 1};
+constexpr serve::MatchBackendKind kAllBackends[] = {serve::MatchBackendKind::Scalar,
+                                                    serve::MatchBackendKind::BitPlane,
+                                                    serve::MatchBackendKind::Checked};
+
+/// Edge words have the top bit 0 and fillers have it 1, so kAnyEdge
+/// matches exactly the rows holding edge words.
+tcam::TernaryWord edgeWord(std::size_t j) { return tcam::TernaryWord::fromBits(j + 1, 16); }
+tcam::TernaryWord fillerWord(std::int64_t i) {
+    return tcam::TernaryWord::fromBits(0x8000u + static_cast<unsigned>(i % 0x8000), 16);
+}
+const tcam::TernaryWord kAnyEdge = tcam::TernaryWord::fromString("0xxxxxxxxxxxxxxx");
+
+/// The shared chunk-edge table: edge words at kEdgeRows, fillers through
+/// insert() below the first edge (row assignment checked against the naive
+/// scan), and wildcarded top-bit-1 words sprinkled over the later chunks.
+void populateEdgeTable(serve::QueryEngine& engine, NaiveTable& naive) {
+    for (std::size_t j = 0; j < std::size(kEdgeRows); ++j) {
+        engine.insertAt(kEdgeRows[j], edgeWord(j));
+        naive.rows[static_cast<std::size_t>(kEdgeRows[j])] = edgeWord(j);
+    }
+    for (std::int64_t r = 0; r < kChunk - 1; ++r)
+        ASSERT_EQ(engine.insert(fillerWord(r)), naive.insert(fillerWord(r)));
+    numeric::Rng rng(11);
+    for (std::int64_t r = kChunk + 2; r < kEdgeCapacity - 1; r += 37) {
+        auto word = fillerWord(static_cast<std::int64_t>(rng.nextU64() & 0x7FFF));
+        for (std::size_t b = 1; b < 16; ++b)
+            if (rng.uniform() < 0.2) word[b] = tcam::Trit::X;
+        engine.insertAt(r, word);
+        naive.rows[static_cast<std::size_t>(r)] = word;
+    }
+}
+
+/// Edge words, kAnyEdge, a few fillers and random definite keys.
+std::vector<tcam::TernaryWord> edgeKeys() {
+    std::vector<tcam::TernaryWord> keys{kAnyEdge, fillerWord(0), fillerWord(kChunk - 2)};
+    for (std::size_t j = 0; j < std::size(kEdgeRows); ++j) keys.push_back(edgeWord(j));
+    numeric::Rng rng(5);
+    for (int i = 0; i < 40; ++i) keys.push_back(definiteWord(rng.nextU64(), 16));
+    return keys;
+}
+
+void expectTableMatchesNaive(const serve::QueryEngine& engine, const NaiveTable& naive) {
+    for (std::int64_t r = 0; r < engine.capacity(); ++r) {
+        const auto entry = engine.entryAt(r);
+        const auto& expect = naive.rows[static_cast<std::size_t>(r)];
+        ASSERT_EQ(entry.has_value(), expect.has_value()) << "row " << r;
+        if (entry) {
+            ASSERT_TRUE(*entry == *expect) << "row " << r;
+        }
+    }
+}
+
+void expectSearchMatchesNaive(serve::QueryEngine& engine, const NaiveTable& naive) {
+    const auto keys = edgeKeys();
+    const auto result = engine.searchBatch(keys);
+    for (std::size_t q = 0; q < keys.size(); ++q)
+        EXPECT_EQ(result.rows[q], naive.findFirst(keys[q])) << "query " << q;
+}
+
+}  // namespace
+
+TEST(ChunkLayout, PriorityInsertAndEraseAcrossChunkEdges) {
+    for (const auto backend : kAllBackends) {
+        SCOPED_TRACE(serve::backendName(backend));
+        serve::QueryEngine engine(churnOptions(16, 4, kEdgeCapacity, backend));
+        ASSERT_EQ(engine.capacity(), kEdgeCapacity);
+        ASSERT_EQ(engine.shards(), kEdgeCapacity / 4);  // the priced geometry
+        NaiveTable naive(kEdgeCapacity);
+        populateEdgeTable(engine, naive);
+        expectTableMatchesNaive(engine, naive);
+        expectSearchMatchesNaive(engine, naive);
+
+        // Each edge word answers at its own global row.
+        std::vector<tcam::TernaryWord> exact;
+        for (std::size_t j = 0; j < std::size(kEdgeRows); ++j) exact.push_back(edgeWord(j));
+        const auto hits = engine.searchBatch(exact).rows;
+        EXPECT_EQ(hits, std::vector<std::int64_t>(std::begin(kEdgeRows), std::end(kEdgeRows)));
+
+        // Global priority: erasing each winner hands the match to the next
+        // edge row, across both chunk edges and into the partial last chunk.
+        for (const auto row : kEdgeRows) {
+            EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], row);
+            engine.erase(row);
+            naive.rows[static_cast<std::size_t>(row)].reset();
+        }
+        EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], -1);
+
+        // insert() takes the first free row on each side of the first edge:
+        // 1023 (last of chunk 0), then 1024, then 1025.
+        for (std::int64_t want = kChunk - 1; want <= kChunk + 1; ++want) {
+            const auto word = edgeWord(static_cast<std::size_t>(want));
+            EXPECT_EQ(engine.insert(word), want);
+            EXPECT_EQ(naive.insert(word), want);
+        }
+        // With holes at 1022 and 1024, insert() refills 1022, then scans
+        // over the occupied 1023 into the next chunk.
+        for (const auto row : {kChunk - 2, kChunk}) {
+            engine.erase(row);
+            naive.rows[static_cast<std::size_t>(row)].reset();
+        }
+        EXPECT_EQ(engine.insert(fillerWord(kChunk - 2)), kChunk - 2);
+        EXPECT_EQ(naive.insert(fillerWord(kChunk - 2)), kChunk - 2);
+        EXPECT_EQ(engine.insert(edgeWord(kChunk)), kChunk);
+        EXPECT_EQ(naive.insert(edgeWord(kChunk)), kChunk);
+        EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], kChunk - 1);
+        engine.erase(kChunk - 1);
+        naive.rows[static_cast<std::size_t>(kChunk - 1)].reset();
+        EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], kChunk);
+
+        // insertAt on both sides of the second edge; the lower row wins.
+        engine.insertAt(2 * kChunk, edgeWord(7));
+        naive.rows[static_cast<std::size_t>(2 * kChunk)] = edgeWord(7);
+        engine.insertAt(2 * kChunk - 1, edgeWord(7));
+        naive.rows[static_cast<std::size_t>(2 * kChunk - 1)] = edgeWord(7);
+        EXPECT_EQ(engine.searchBatch({edgeWord(7)}).rows[0], 2 * kChunk - 1);
+        engine.erase(2 * kChunk - 1);
+        naive.rows[static_cast<std::size_t>(2 * kChunk - 1)].reset();
+        EXPECT_EQ(engine.searchBatch({edgeWord(7)}).rows[0], 2 * kChunk);
+
+        EXPECT_EQ(engine.occupancy(),
+                  std::count_if(naive.rows.begin(), naive.rows.end(),
+                                [](const auto& w) { return w.has_value(); }));
+        expectTableMatchesNaive(engine, naive);
+        expectSearchMatchesNaive(engine, naive);
+    }
+}
+
+TEST(ChunkLayout, SimilarityHitsAcrossChunkEdges) {
+    for (const auto backend : kAllBackends) {
+        SCOPED_TRACE(serve::backendName(backend));
+        serve::QueryEngine engine(churnOptions(16, 4, kEdgeCapacity, backend));
+        NaiveTable naive(kEdgeCapacity);
+        populateEdgeTable(engine, naive);
+
+        sim::SimilarityOptions within;
+        within.kind = sim::SimilarityKind::Threshold;
+        within.maxDistance = 2;
+        sim::SimilarityOptions nearest;
+        nearest.k = 6;
+        for (const auto& key : edgeKeys()) {
+            EXPECT_EQ(engine.nearestK(key, nearest.k),
+                      sim::naiveSimilarity(naive.rows, key, nearest));
+            EXPECT_EQ(engine.thresholdMatch(key, within.maxDistance),
+                      sim::naiveSimilarity(naive.rows, key, within));
+        }
+        // The four edge rows are kAnyEdge's only exact (distance-0) hits.
+        const auto edges = engine.thresholdMatch(kAnyEdge, 0);
+        ASSERT_EQ(edges.size(), std::size(kEdgeRows));
+        for (std::size_t j = 0; j < edges.size(); ++j) EXPECT_EQ(edges[j].row, kEdgeRows[j]);
+    }
+}
+
+TEST(ChunkLayout, CompactAndWarmRestartAcrossChunkEdges) {
+    namespace fs = std::filesystem;
+    const std::string dir =
+        (fs::temp_directory_path() / "fetcam_churn_test_chunks").string();
+    for (const auto backend : kAllBackends) {
+        SCOPED_TRACE(serve::backendName(backend));
+        fs::remove_all(dir);
+        auto options = churnOptions(16, 4, kEdgeCapacity, backend);
+        options.store.dir = dir;
+        options.persistEntries = true;
+
+        NaiveTable naive(kEdgeCapacity);
+        {
+            serve::QueryEngine engine(options);
+            ASSERT_FALSE(engine.tableLogStatus().degraded);
+            populateEdgeTable(engine, naive);
+            for (const auto row : {kChunk - 2, kChunk, 2 * kChunk - 1}) {
+                engine.erase(row);
+                naive.rows[static_cast<std::size_t>(row)].reset();
+            }
+            ASSERT_TRUE(engine.compactTable());
+            engine.insertAt(kChunk, edgeWord(9));  // appended after the snapshot
+            naive.rows[static_cast<std::size_t>(kChunk)] = edgeWord(9);
+        }
+
+        serve::QueryEngine warm(options);
+        ASSERT_FALSE(warm.tableLogStatus().degraded);
+        EXPECT_EQ(warm.occupancy(),
+                  std::count_if(naive.rows.begin(), naive.rows.end(),
+                                [](const auto& w) { return w.has_value(); }));
+        EXPECT_EQ(warm.restoredMutations(), warm.occupancy());  // compacted + 1 append
+        expectTableMatchesNaive(warm, naive);
+        expectSearchMatchesNaive(warm, naive);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(ChunkLayout, AnswersDoNotDependOnPricedShardRows) {
+    auto cache = std::make_shared<serve::CharacterizationCache>();
+    sim::SimilarityOptions nearest;
+    nearest.k = 5;
+    const auto keys = edgeKeys();
+    for (const auto backend : kAllBackends) {
+        SCOPED_TRACE(serve::backendName(backend));
+        std::optional<serve::BatchResult> reference;
+        std::optional<serve::SimilarityBatchResult> referenceSim;
+        for (const int shardRows : {4, 16, 1024}) {
+            SCOPED_TRACE(shardRows);
+            serve::QueryEngine engine(churnOptions(16, shardRows, kEdgeCapacity, backend),
+                                      cache);
+            EXPECT_EQ(engine.rowsPerShard(), shardRows);
+            NaiveTable naive(engine.capacity());
+            populateEdgeTable(engine, naive);
+            const auto exact = engine.searchBatch(keys, 2);
+            const auto similar = engine.similarityBatch(keys, nearest, 2);
+            if (!reference) {
+                reference = exact;
+                referenceSim = similar;
+                continue;
+            }
+            // Same rows and hits; only the priced energy/latency differ.
+            EXPECT_EQ(exact.rows, reference->rows);
+            EXPECT_EQ(exact.hits, reference->hits);
+            EXPECT_EQ(similar.hits, referenceSim->hits);
+            EXPECT_EQ(similar.rowsReturned, referenceSim->rowsReturned);
+            EXPECT_NE(exact.energy, reference->energy);
+            EXPECT_NE(similar.energy, referenceSim->energy);
+        }
+    }
 }

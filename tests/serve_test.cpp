@@ -181,7 +181,9 @@ TEST(TcamMacro, EnergyAccounting) {
 }
 
 TEST(QueryEngine, GlobalPriorityAcrossShards) {
-    serve::QueryEngine engine(smallOptions());  // 3 shards x 4 rows
+    // 3 priced shards x 4 rows, all in one storage chunk; chunk edges are
+    // churn_test's ChunkLayout.* cases.
+    serve::QueryEngine engine(smallOptions());
     ASSERT_EQ(engine.shards(), 3);
     ASSERT_EQ(engine.capacity(), 12);
 
