@@ -14,7 +14,6 @@
 #include "obs/obs.hpp"
 #include "recover/fault_injection.hpp"
 #include "recover/sim_error.hpp"
-#include "serve/query_engine.hpp"
 
 namespace fetcam::net {
 
@@ -55,22 +54,20 @@ void Client::connect(const std::string& host, int port, double timeout) {
     const int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
+    hello_ = HelloBody{};  // the Hello itself is read against the default limit
     ClientResult greeting = readFrame(timeout);
     if (greeting.error != ProtoError::None || greeting.timedOut || greeting.disconnected) {
         close();
         throw SimError(SimErrorReason::IoError, "net::Client",
                        "no valid Hello from server: " + greeting.message);
     }
-    // Version negotiation: an older server is fine — its version is recorded
-    // and feature calls (mutate needs v2, similarity v3) gate on it. A
-    // *newer* server is refused outright: this client cannot know the newer
-    // frame layouts, and guessing would defeat the typed-failure contract.
-    if (hello_.version == 0 || hello_.version > kProtocolVersion) {
+    if (hello_.version != kProtocolVersion) {
+        const auto version = hello_.version;
         close();
         throw SimError(SimErrorReason::CorruptData, "net::Client",
-                       "server protocol version " + std::to_string(hello_.version) +
-                           " is newer than this client (speaks " +
-                           std::to_string(kProtocolVersion) + ")");
+                       "server speaks protocol version " + std::to_string(version) +
+                           "; this client speaks only version " +
+                           std::to_string(kProtocolVersion));
     }
 }
 
@@ -147,10 +144,15 @@ bool Client::sendFrame(MsgType type, std::string_view body, ClientResult& result
 }
 
 ClientResult Client::readFrame(double timeout) {
+    MsgType type = MsgType::Hello;
+    return nextFrame(timeout, type);
+}
+
+ClientResult Client::nextFrame(double timeout, MsgType& type) {
     ClientResult result;
     const double deadline = obs::monotonicSeconds() + timeout;
     while (true) {
-        const DecodeResult r = decodeFrame(readBuf_, kDefaultMaxFrameBytes);
+        const DecodeResult r = decodeFrame(readBuf_, hello_.maxFrameBytes);
         if (r.status == DecodeResult::Status::Bad) {
             result.error = r.error;
             result.message = r.message;
@@ -159,6 +161,7 @@ ClientResult Client::readFrame(double timeout) {
         }
         if (r.status == DecodeResult::Status::Ok) {
             readBuf_.erase(0, r.consumed);
+            type = r.frame.type;
             std::string err;
             switch (r.frame.type) {
                 case MsgType::Hello: {
@@ -240,106 +243,16 @@ ClientResult Client::readFrame(double timeout) {
     }
 }
 
-ClientResult Client::mutate(const MutateBody& ops, double timeout) {
+ClientResult Client::roundTrip(MsgType type, const std::string& body, bool widthOk,
+                               MsgType replyType, std::uint64_t requestId, std::size_t count,
+                               double timeout) {
     ClientResult result;
-    if (hello_.version < kMinMutateVersion) {
-        result.error = ProtoError::UnsupportedVersion;
-        result.message = "server protocol version " + std::to_string(hello_.version) +
-                         " predates Mutate (needs v" + std::to_string(kMinMutateVersion) +
-                         ")";
-        return result;
-    }
-    if (hello_.wordBits != 0)
-        for (const auto& op : ops.ops)
-            if (op.op != MutateOp::Erase && op.word.size() != hello_.wordBits) {
-                result.error = ProtoError::WidthMismatch;
-                result.message = "mutation word width does not match the server";
-                return result;
-            }
-    if (!sendFrame(MsgType::Mutate, encodeMutate(ops), result)) return result;
-
-    const double deadline = obs::monotonicSeconds() + timeout;
-    while (true) {
-        const double wait = deadline - obs::monotonicSeconds();
-        if (wait <= 0.0) {
-            result.timedOut = true;
-            result.message = "timed out waiting for a mutate reply";
-            return result;
-        }
-        ClientResult frame = readFrame(wait);
-        if (frame.drainNotice) {
-            result.drainNotice = true;
-            continue;
-        }
-        if (frame.ok && !frame.mutateReply) continue;  // interleaved other reply
-        if (frame.ok && frame.mutateReply->requestId != ops.requestId) continue;  // stale
-        frame.drainNotice = frame.drainNotice || result.drainNotice;
-        frame.faultInjected = result.faultInjected;
-        if (frame.ok && frame.mutateReply->rows.size() != ops.ops.size()) {
-            frame.ok = false;
-            frame.error = ProtoError::BadBody;
-            frame.message = "mutate reply op count does not match the request";
-            close();
-        }
-        return frame;
-    }
-}
-
-ClientResult Client::similarity(const SimilarityBody& request, double timeout) {
-    ClientResult result;
-    if (hello_.version < kMinSimilarityVersion) {
-        result.error = ProtoError::UnsupportedVersion;
-        result.message = "server protocol version " + std::to_string(hello_.version) +
-                         " predates Similarity (needs v" +
-                         std::to_string(kMinSimilarityVersion) + ")";
-        return result;
-    }
-    if (!request.keys.empty() && hello_.wordBits != 0 &&
-        request.keys.front().size() != hello_.wordBits) {
-        result.error = ProtoError::WidthMismatch;
-        result.message = "similarity key width does not match the server word width";
-        return result;
-    }
-    if (!sendFrame(MsgType::Similarity, encodeSimilarity(request), result)) return result;
-
-    const double deadline = obs::monotonicSeconds() + timeout;
-    while (true) {
-        const double wait = deadline - obs::monotonicSeconds();
-        if (wait <= 0.0) {
-            result.timedOut = true;
-            result.message = "timed out waiting for a similarity reply";
-            return result;
-        }
-        ClientResult frame = readFrame(wait);
-        if (frame.drainNotice) {
-            result.drainNotice = true;
-            continue;
-        }
-        if (frame.ok && !frame.simReply) continue;  // interleaved other reply
-        if (frame.ok && frame.simReply->requestId != request.requestId) continue;  // stale
-        frame.drainNotice = frame.drainNotice || result.drainNotice;
-        frame.faultInjected = result.faultInjected;
-        if (frame.ok && frame.simReply->hits.size() != request.keys.size() &&
-            frame.simReply->admission ==
-                static_cast<std::uint8_t>(serve::BatchAdmission::Accepted)) {
-            frame.ok = false;
-            frame.error = ProtoError::BadBody;
-            frame.message = "similarity reply key count does not match the request";
-            close();
-        }
-        return frame;
-    }
-}
-
-ClientResult Client::query(const QueryBatchBody& batch, double timeout) {
-    ClientResult result;
-    if (!batch.keys.empty() && hello_.wordBits != 0 &&
-        batch.keys.front().size() != hello_.wordBits) {
+    if (!widthOk) {
         result.error = ProtoError::WidthMismatch;
         result.message = "key width does not match the server word width";
         return result;
     }
-    if (!sendFrame(MsgType::QueryBatch, encodeQueryBatch(batch), result)) return result;
+    if (!sendFrame(type, body, result)) return result;
 
     const double deadline = obs::monotonicSeconds() + timeout;
     while (true) {
@@ -349,26 +262,62 @@ ClientResult Client::query(const QueryBatchBody& batch, double timeout) {
             result.message = "timed out waiting for a reply";
             return result;
         }
-        ClientResult frame = readFrame(wait);
+        MsgType got = MsgType::Hello;
+        ClientResult frame = nextFrame(wait, got);
         if (frame.drainNotice) {
             // Shutdown notice; the reply for this request may still arrive.
             result.drainNotice = true;
             continue;
         }
-        if (frame.ok && (frame.mutateReply || frame.simReply)) continue;  // interleaved
-        if (frame.ok && frame.reply.requestId != batch.requestId) continue;  // stale
-        frame.drainNotice = frame.drainNotice || result.drainNotice;
+        frame.drainNotice = result.drainNotice;
         frame.faultInjected = result.faultInjected;
-        if (frame.ok && frame.reply.rows.size() != batch.keys.size() &&
-            frame.reply.admission ==
-                static_cast<std::uint8_t>(serve::BatchAdmission::Accepted)) {
+        if (!frame.ok) return frame;
+        if (got != replyType) continue;  // interleaved reply to another request
+        std::uint64_t id = frame.reply.requestId;
+        std::size_t n = frame.reply.rows.size();
+        if (frame.mutateReply) {
+            id = frame.mutateReply->requestId;
+            n = frame.mutateReply->rows.size();
+        } else if (frame.simReply) {
+            id = frame.simReply->requestId;
+            n = frame.simReply->hits.size();
+        }
+        if (id != requestId) continue;  // stale
+        if (n != count) {
             frame.ok = false;
             frame.error = ProtoError::BadBody;
-            frame.message = "reply row count does not match the request";
+            frame.message = "reply count does not match the request";
             close();
         }
         return frame;
     }
+}
+
+bool Client::fitsWidth(const tcam::TernaryWord& key) const {
+    return hello_.wordBits == 0 || key.size() == hello_.wordBits;
+}
+
+ClientResult Client::query(const QueryBatchBody& batch, double timeout) {
+    const bool ok = std::all_of(batch.keys.begin(), batch.keys.end(),
+                                [&](const auto& key) { return fitsWidth(key); });
+    return roundTrip(MsgType::QueryBatch, encodeQueryBatch(batch), ok, MsgType::BatchReply,
+                     batch.requestId, batch.keys.size(), timeout);
+}
+
+ClientResult Client::mutate(const MutateBody& ops, double timeout) {
+    const bool ok = std::all_of(ops.ops.begin(), ops.ops.end(), [&](const auto& op) {
+        return op.op == MutateOp::Erase || fitsWidth(op.word);
+    });
+    return roundTrip(MsgType::Mutate, encodeMutate(ops), ok, MsgType::MutateReply,
+                     ops.requestId, ops.ops.size(), timeout);
+}
+
+ClientResult Client::similarity(const SimilarityBody& request, double timeout) {
+    const bool ok = std::all_of(request.keys.begin(), request.keys.end(),
+                                [&](const auto& key) { return fitsWidth(key); });
+    return roundTrip(MsgType::Similarity, encodeSimilarity(request), ok,
+                     MsgType::SimilarityReply, request.requestId, request.keys.size(),
+                     timeout);
 }
 
 }  // namespace fetcam::net

@@ -27,7 +27,7 @@
 
 namespace fetcam::net {
 
-/// Typed outcome of one query() / mutate() round trip.
+/// Typed outcome of one query() / mutate() / similarity() round trip.
 struct ClientResult {
     bool ok = false;             ///< reply holds a validated BatchReply
     BatchReplyBody reply;        ///< valid when ok (query path)
@@ -48,36 +48,28 @@ public:
     Client(const Client&) = delete;
     Client& operator=(const Client&) = delete;
 
-    /// Connect and read the server Hello, negotiating the protocol version:
-    /// a server at or below kProtocolVersion is accepted and its version
-    /// recorded (feature calls gate on it — see mutate()/similarity()); a
-    /// *newer* server is refused with SimError(CorruptData) since this
-    /// client cannot know its layout. Throws SimError(IoError) when the
-    /// connection cannot be established.
+    /// Connect and read the server Hello. A server whose version is not
+    /// kProtocolVersion is refused with SimError(CorruptData): this client
+    /// knows one frame layout. Throws SimError(IoError) when the connection
+    /// cannot be established.
     void connect(const std::string& host, int port, double timeout = 5.0);
 
     bool connected() const { return fd_ >= 0; }
     const HelloBody& hello() const { return hello_; }
-    /// Protocol version the connected server advertised in its Hello.
-    std::uint32_t serverVersion() const { return hello_.version; }
     void close();
 
-    /// Send one QueryBatch and wait for its BatchReply. Validates the reply
-    /// against the request (id and count); a Drain frame arriving first is
-    /// reported in drainNotice and the wait continues for the reply.
+    /// Send one QueryBatch and wait for its BatchReply (in result.reply).
+    /// The reply must carry the request's id and one row per key; a Drain
+    /// frame arriving first is reported in drainNotice and the wait
+    /// continues for the reply.
     ClientResult query(const QueryBatchBody& batch, double timeout = 10.0);
 
-    /// Send one Mutate and wait for its MutateReply (in result.mutateReply).
-    /// Validates id and per-op count like query(); same fault-injection
-    /// behavior on the send side. Against a pre-v2 server the call fails
-    /// locally with a typed UnsupportedVersion result — nothing is sent, so
-    /// the old server never sees a frame it cannot parse.
+    /// Send one Mutate and wait for its MutateReply (in result.mutateReply),
+    /// one row per op; otherwise like query().
     ClientResult mutate(const MutateBody& ops, double timeout = 10.0);
 
-    /// Send one Similarity request (protocol v3) and wait for its
-    /// SimilarityReply (in result.simReply). Validates id and per-key count
-    /// like query(); typed UnsupportedVersion failure against a pre-v3
-    /// server, nothing sent.
+    /// Send one Similarity request and wait for its SimilarityReply (in
+    /// result.simReply), one hit list per key; otherwise like query().
     ClientResult similarity(const SimilarityBody& request, double timeout = 10.0);
 
     /// Send raw bytes as-is (protocol-corruption tests). Returns false when
@@ -86,12 +78,28 @@ public:
 
     /// Wait for the next frame (tests). ok=true with the decoded reply for
     /// BatchReply; other frame types surface through the flags/error fields.
+    /// Frames are bounded by the maxFrameBytes the server's Hello advertised.
     ClientResult readFrame(double timeout);
 
 private:
     /// Frame send with fault-plan consultation; returns true when a normal
     /// complete send happened (a reply may be expected).
     bool sendFrame(MsgType type, std::string_view body, ClientResult& result);
+
+    /// True when `key` has the word width the server's Hello announced.
+    bool fitsWidth(const tcam::TernaryWord& key) const;
+
+    /// readFrame() that also reports the type of the frame it decoded.
+    ClientResult nextFrame(double timeout, MsgType& type);
+
+    /// The one request/reply exchange behind query(), mutate() and
+    /// similarity(): refuse locally when `widthOk` is false, send the frame,
+    /// then wait for a `replyType` frame carrying `requestId`, skipping
+    /// Drain notices, stale replies and replies of other types. A reply
+    /// whose count differs from `count` is a typed BadBody.
+    ClientResult roundTrip(MsgType type, const std::string& body, bool widthOk,
+                           MsgType replyType, std::uint64_t requestId, std::size_t count,
+                           double timeout);
 
     int fd_ = -1;
     HelloBody hello_;

@@ -35,9 +35,9 @@ public:
         return true;
     }
 
-    bool getBytes(std::string& out, std::size_t n) {
+    bool take(std::string_view& out, std::size_t n) {
         if (data_.size() - pos_ < n) return false;
-        out.assign(data_.data() + pos_, n);
+        out = data_.substr(pos_, n);
         pos_ += n;
         return true;
     }
@@ -53,6 +53,79 @@ private:
 bool fail(std::string* err, const char* what) {
     if (err) *err = what;
     return false;
+}
+
+/// fail() for the body decoders, which return an optional.
+std::nullopt_t reject(std::string* err, const char* what) {
+    fail(err, what);
+    return std::nullopt;
+}
+
+// --- the key codec: every key on the wire is wordBits trit-bytes (0/1/2) ---
+
+void putKey(std::string& out, const tcam::TernaryWord& key) {
+    for (std::size_t i = 0; i < key.size(); ++i) put8(out, static_cast<std::uint8_t>(key[i]));
+}
+
+bool getKey(Reader& r, std::uint32_t wordBits, tcam::TernaryWord& key, std::string* err) {
+    std::string_view bytes;
+    if (!r.take(bytes, wordBits)) return fail(err, "truncated key");
+    key = tcam::TernaryWord(wordBits);
+    for (std::uint32_t i = 0; i < wordBits; ++i) {
+        const auto trit = static_cast<std::uint8_t>(bytes[i]);
+        if (trit > 2) return fail(err, "trit byte outside {0,1,2}");
+        key[i] = static_cast<tcam::Trit>(trit);
+    }
+    return true;
+}
+
+/// The key block that ends QueryBatch and Similarity bodies: `count` keys
+/// in [1, maxBatch], and exactly count * wordBits bytes left in the body.
+bool getKeys(Reader& r, std::uint32_t count, std::uint32_t wordBits, std::uint32_t maxBatch,
+             std::vector<tcam::TernaryWord>& keys, std::string* err) {
+    if (count == 0 || count > maxBatch) return fail(err, "key count outside [1, maxBatch]");
+    if (r.rest().size() != static_cast<std::size_t>(count) * wordBits)
+        return fail(err, "body length does not match count * wordBits");
+    keys.resize(count);
+    for (auto& key : keys)
+        if (!getKey(r, wordBits, key, err)) return false;
+    return true;
+}
+
+// --- the rows+status codec shared by BatchReply and MutateReply: count u32,
+// then count * { row i64, status u8 } ---
+
+template <typename Status>
+void putRows(std::string& out, const std::vector<std::int64_t>& rows,
+             const std::vector<Status>& status) {
+    put32(out, static_cast<std::uint32_t>(rows.size()));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        put64(out, static_cast<std::uint64_t>(rows[i]));
+        put8(out, static_cast<std::uint8_t>(status[i]));
+    }
+}
+
+/// `lastStatus` is the highest valid status byte; the body must end after
+/// the last row.
+template <typename Status>
+bool getRows(Reader& r, Status lastStatus, std::vector<std::int64_t>& rows,
+             std::vector<Status>& status, std::string* err) {
+    std::uint32_t count = 0;
+    if (!r.get(count)) return fail(err, "truncated reply row count");
+    if (r.rest().size() != static_cast<std::size_t>(count) * 9)
+        return fail(err, "reply body length does not match its row count");
+    rows.resize(count);
+    status.resize(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        std::uint64_t row = 0;
+        std::uint8_t code = 0;
+        r.get(row);
+        r.get(code);
+        if (code > static_cast<std::uint8_t>(lastStatus)) return fail(err, "unknown status byte");
+        rows[i] = static_cast<std::int64_t>(row);
+        status[i] = static_cast<Status>(code);
+    }
+    return true;
 }
 
 }  // namespace
@@ -186,10 +259,8 @@ std::optional<HelloBody> decodeHello(std::string_view body, std::string* err) {
     Reader r(body);
     HelloBody h;
     if (!r.get(h.version) || !r.get(h.wordBits) || !r.get(h.maxBatch) ||
-        !r.get(h.maxFrameBytes) || !r.done()) {
-        fail(err, "malformed Hello body");
-        return std::nullopt;
-    }
+        !r.get(h.maxFrameBytes) || !r.done())
+        return reject(err, "malformed Hello body");
     return h;
 }
 
@@ -198,9 +269,7 @@ std::string encodeQueryBatch(const QueryBatchBody& batch) {
     put64(body, batch.requestId);
     put32(body, batch.deadlineMicros);
     put32(body, static_cast<std::uint32_t>(batch.keys.size()));
-    for (const auto& key : batch.keys)
-        for (std::size_t i = 0; i < key.size(); ++i)
-            put8(body, static_cast<std::uint8_t>(key[i]));
+    for (const auto& key : batch.keys) putKey(body, key);
     return body;
 }
 
@@ -208,33 +277,10 @@ std::optional<QueryBatchBody> decodeQueryBatch(std::string_view body, std::uint3
                                                std::uint32_t maxBatch, std::string* err) {
     Reader r(body);
     QueryBatchBody b;
-    std::uint32_t count;
-    if (!r.get(b.requestId) || !r.get(b.deadlineMicros) || !r.get(count)) {
-        fail(err, "malformed QueryBatch header");
-        return std::nullopt;
-    }
-    if (count == 0 || count > maxBatch) {
-        fail(err, "query count outside [1, maxBatch]");
-        return std::nullopt;
-    }
-    if (r.rest().size() != static_cast<std::size_t>(count) * wordBits) {
-        fail(err, "QueryBatch body length does not match count * wordBits");
-        return std::nullopt;
-    }
-    b.keys.reserve(count);
-    for (std::uint32_t k = 0; k < count; ++k) {
-        tcam::TernaryWord word(wordBits);
-        for (std::uint32_t i = 0; i < wordBits; ++i) {
-            std::uint8_t trit = 0;
-            r.get(trit);
-            if (trit > 2) {
-                fail(err, "trit byte outside {0,1,2}");
-                return std::nullopt;
-            }
-            word[i] = static_cast<tcam::Trit>(trit);
-        }
-        b.keys.push_back(std::move(word));
-    }
+    std::uint32_t count = 0;
+    if (!r.get(b.requestId) || !r.get(b.deadlineMicros) || !r.get(count))
+        return reject(err, "malformed QueryBatch header");
+    if (!getKeys(r, count, wordBits, maxBatch, b.keys, err)) return std::nullopt;
     return b;
 }
 
@@ -242,40 +288,16 @@ std::string encodeBatchReply(const BatchReplyBody& reply) {
     std::string body;
     put64(body, reply.requestId);
     put8(body, reply.admission);
-    put32(body, static_cast<std::uint32_t>(reply.rows.size()));
-    for (std::size_t i = 0; i < reply.rows.size(); ++i) {
-        put64(body, static_cast<std::uint64_t>(reply.rows[i]));
-        put8(body, static_cast<std::uint8_t>(reply.status[i]));
-    }
+    putRows(body, reply.rows, reply.status);
     return body;
 }
 
 std::optional<BatchReplyBody> decodeBatchReply(std::string_view body, std::string* err) {
     Reader r(body);
     BatchReplyBody b;
-    std::uint32_t count;
-    if (!r.get(b.requestId) || !r.get(b.admission) || !r.get(count)) {
-        fail(err, "malformed BatchReply header");
-        return std::nullopt;
-    }
-    if (r.rest().size() != static_cast<std::size_t>(count) * 9) {
-        fail(err, "BatchReply body length does not match count");
-        return std::nullopt;
-    }
-    b.rows.reserve(count);
-    b.status.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint64_t row = 0;
-        std::uint8_t status = 0;
-        r.get(row);
-        r.get(status);
-        if (status > static_cast<std::uint8_t>(QueryStatus::DeadlineExceeded)) {
-            fail(err, "unknown query status byte");
-            return std::nullopt;
-        }
-        b.rows.push_back(static_cast<std::int64_t>(row));
-        b.status.push_back(static_cast<QueryStatus>(status));
-    }
+    if (!r.get(b.requestId) || !r.get(b.admission))
+        return reject(err, "malformed BatchReply header");
+    if (!getRows(r, QueryStatus::DeadlineExceeded, b.rows, b.status, err)) return std::nullopt;
     return b;
 }
 
@@ -286,9 +308,7 @@ std::string encodeMutate(const MutateBody& mutate) {
     for (const auto& op : mutate.ops) {
         put8(body, static_cast<std::uint8_t>(op.op));
         put64(body, static_cast<std::uint64_t>(op.row));
-        if (op.op != MutateOp::Erase)
-            for (std::size_t i = 0; i < op.word.size(); ++i)
-                put8(body, static_cast<std::uint8_t>(op.word[i]));
+        if (op.op != MutateOp::Erase) putKey(body, op.word);
     }
     return body;
 }
@@ -298,92 +318,37 @@ std::optional<MutateBody> decodeMutate(std::string_view body, std::uint32_t word
     Reader r(body);
     MutateBody b;
     std::uint32_t count;
-    if (!r.get(b.requestId) || !r.get(count)) {
-        fail(err, "malformed Mutate header");
-        return std::nullopt;
-    }
-    if (count == 0 || count > maxBatch) {
-        fail(err, "mutation count outside [1, maxBatch]");
-        return std::nullopt;
-    }
-    b.ops.reserve(count);
-    for (std::uint32_t k = 0; k < count; ++k) {
-        MutateOpSpec spec;
+    if (!r.get(b.requestId) || !r.get(count)) return reject(err, "malformed Mutate header");
+    if (count == 0 || count > maxBatch) return reject(err, "mutation count outside [1, maxBatch]");
+    b.ops.resize(count);
+    for (auto& spec : b.ops) {
         std::uint8_t op = 0;
         std::uint64_t row = 0;
-        if (!r.get(op) || !r.get(row)) {
-            fail(err, "truncated Mutate op");
-            return std::nullopt;
-        }
+        if (!r.get(op) || !r.get(row)) return reject(err, "truncated Mutate op");
         if (op < static_cast<std::uint8_t>(MutateOp::Insert) ||
-            op > static_cast<std::uint8_t>(MutateOp::Erase)) {
-            fail(err, "unknown mutate op byte");
-            return std::nullopt;
-        }
+            op > static_cast<std::uint8_t>(MutateOp::Erase))
+            return reject(err, "unknown mutate op byte");
         spec.op = static_cast<MutateOp>(op);
         spec.row = static_cast<std::int64_t>(row);
-        if (spec.op != MutateOp::Erase) {
-            tcam::TernaryWord word(wordBits);
-            for (std::uint32_t i = 0; i < wordBits; ++i) {
-                std::uint8_t trit = 0;
-                if (!r.get(trit)) {
-                    fail(err, "truncated Mutate word");
-                    return std::nullopt;
-                }
-                if (trit > 2) {
-                    fail(err, "trit byte outside {0,1,2}");
-                    return std::nullopt;
-                }
-                word[i] = static_cast<tcam::Trit>(trit);
-            }
-            spec.word = std::move(word);
-        }
-        b.ops.push_back(std::move(spec));
+        if (spec.op != MutateOp::Erase && !getKey(r, wordBits, spec.word, err))
+            return std::nullopt;
     }
-    if (!r.done()) {
-        fail(err, "trailing bytes after Mutate ops");
-        return std::nullopt;
-    }
+    if (!r.done()) return reject(err, "trailing bytes after Mutate ops");
     return b;
 }
 
 std::string encodeMutateReply(const MutateReplyBody& reply) {
     std::string body;
     put64(body, reply.requestId);
-    put32(body, static_cast<std::uint32_t>(reply.rows.size()));
-    for (std::size_t i = 0; i < reply.rows.size(); ++i) {
-        put64(body, static_cast<std::uint64_t>(reply.rows[i]));
-        put8(body, static_cast<std::uint8_t>(reply.status[i]));
-    }
+    putRows(body, reply.rows, reply.status);
     return body;
 }
 
 std::optional<MutateReplyBody> decodeMutateReply(std::string_view body, std::string* err) {
     Reader r(body);
     MutateReplyBody b;
-    std::uint32_t count;
-    if (!r.get(b.requestId) || !r.get(count)) {
-        fail(err, "malformed MutateReply header");
-        return std::nullopt;
-    }
-    if (r.rest().size() != static_cast<std::size_t>(count) * 9) {
-        fail(err, "MutateReply body length does not match count");
-        return std::nullopt;
-    }
-    b.rows.reserve(count);
-    b.status.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint64_t row = 0;
-        std::uint8_t status = 0;
-        r.get(row);
-        r.get(status);
-        if (status > static_cast<std::uint8_t>(MutateStatus::Rejected)) {
-            fail(err, "unknown mutate status byte");
-            return std::nullopt;
-        }
-        b.rows.push_back(static_cast<std::int64_t>(row));
-        b.status.push_back(static_cast<MutateStatus>(status));
-    }
+    if (!r.get(b.requestId)) return reject(err, "malformed MutateReply header");
+    if (!getRows(r, MutateStatus::Rejected, b.rows, b.status, err)) return std::nullopt;
     return b;
 }
 
@@ -405,9 +370,7 @@ std::string encodeSimilarity(const SimilarityBody& sim) {
     put32(body, sim.param);
     put32(body, sim.maxResults);
     put32(body, static_cast<std::uint32_t>(sim.keys.size()));
-    for (const auto& key : sim.keys)
-        for (std::size_t i = 0; i < key.size(); ++i)
-            put8(body, static_cast<std::uint8_t>(key[i]));
+    for (const auto& key : sim.keys) putKey(body, key);
     return body;
 }
 
@@ -418,47 +381,18 @@ std::optional<SimilarityBody> decodeSimilarity(std::string_view body, std::uint3
     std::uint8_t kind = 0;
     std::uint32_t count = 0;
     if (!r.get(b.requestId) || !r.get(kind) || !r.get(b.param) || !r.get(b.maxResults) ||
-        !r.get(count)) {
-        fail(err, "malformed Similarity header");
-        return std::nullopt;
-    }
+        !r.get(count))
+        return reject(err, "malformed Similarity header");
     if (kind != static_cast<std::uint8_t>(sim::SimilarityKind::NearestK) &&
-        kind != static_cast<std::uint8_t>(sim::SimilarityKind::Threshold)) {
-        fail(err, "unknown similarity kind byte");
-        return std::nullopt;
-    }
+        kind != static_cast<std::uint8_t>(sim::SimilarityKind::Threshold))
+        return reject(err, "unknown similarity kind byte");
     b.kind = static_cast<sim::SimilarityKind>(kind);
-    if (b.maxResults == 0 || b.maxResults > maxBatch) {
-        fail(err, "similarity maxResults outside [1, maxBatch]");
-        return std::nullopt;
-    }
+    if (b.maxResults == 0 || b.maxResults > maxBatch)
+        return reject(err, "similarity maxResults outside [1, maxBatch]");
     if (b.kind == sim::SimilarityKind::NearestK &&
-        (b.param == 0 || b.param > b.maxResults)) {
-        fail(err, "similarity k outside [1, maxResults]");
-        return std::nullopt;
-    }
-    if (count == 0 || count > maxBatch) {
-        fail(err, "similarity key count outside [1, maxBatch]");
-        return std::nullopt;
-    }
-    if (r.rest().size() != static_cast<std::size_t>(count) * wordBits) {
-        fail(err, "Similarity body length does not match count * wordBits");
-        return std::nullopt;
-    }
-    b.keys.reserve(count);
-    for (std::uint32_t k = 0; k < count; ++k) {
-        tcam::TernaryWord word(wordBits);
-        for (std::uint32_t i = 0; i < wordBits; ++i) {
-            std::uint8_t trit = 0;
-            r.get(trit);
-            if (trit > 2) {
-                fail(err, "trit byte outside {0,1,2}");
-                return std::nullopt;
-            }
-            word[i] = static_cast<tcam::Trit>(trit);
-        }
-        b.keys.push_back(std::move(word));
-    }
+        (b.param == 0 || b.param > b.maxResults))
+        return reject(err, "similarity k outside [1, maxResults]");
+    if (!getKeys(r, count, wordBits, maxBatch, b.keys, err)) return std::nullopt;
     return b;
 }
 
@@ -482,23 +416,18 @@ std::optional<SimilarityReplyBody> decodeSimilarityReply(std::string_view body,
     Reader r(body);
     SimilarityReplyBody b;
     std::uint32_t count = 0;
-    if (!r.get(b.requestId) || !r.get(b.admission) || !r.get(count)) {
-        fail(err, "malformed SimilarityReply header");
-        return std::nullopt;
-    }
+    if (!r.get(b.requestId) || !r.get(b.admission) || !r.get(count))
+        return reject(err, "malformed SimilarityReply header");
+    if (r.rest().size() < static_cast<std::size_t>(count) * 4)
+        return reject(err, "SimilarityReply key count longer than the body");
     // Per-key hit lists are variable length, so the remaining size is
     // validated incrementally and the body must end exactly at the last hit.
     b.hits.reserve(count);
     for (std::uint32_t k = 0; k < count; ++k) {
         std::uint32_t hitCount = 0;
-        if (!r.get(hitCount)) {
-            fail(err, "truncated SimilarityReply hit count");
-            return std::nullopt;
-        }
-        if (r.rest().size() < static_cast<std::size_t>(hitCount) * 12) {
-            fail(err, "SimilarityReply hit list longer than the body");
-            return std::nullopt;
-        }
+        if (!r.get(hitCount)) return reject(err, "truncated SimilarityReply hit count");
+        if (r.rest().size() < static_cast<std::size_t>(hitCount) * 12)
+            return reject(err, "SimilarityReply hit list longer than the body");
         sim::SimilarityHits hits;
         hits.reserve(hitCount);
         for (std::uint32_t h = 0; h < hitCount; ++h) {
@@ -510,10 +439,7 @@ std::optional<SimilarityReplyBody> decodeSimilarityReply(std::string_view body,
         }
         b.hits.push_back(std::move(hits));
     }
-    if (!r.done()) {
-        fail(err, "trailing bytes after SimilarityReply hits");
-        return std::nullopt;
-    }
+    if (!r.done()) return reject(err, "trailing bytes after SimilarityReply hits");
     return b;
 }
 
@@ -528,10 +454,8 @@ std::optional<ErrorBody> decodeError(std::string_view body, std::string* err) {
     Reader r(body);
     ErrorBody e;
     std::uint16_t code;
-    if (!r.get(code)) {
-        fail(err, "malformed Error body");
-        return std::nullopt;
-    }
+    if (!r.get(code)) return reject(err, "malformed Error body");
+    if (code == 0 || code >= kNumProtoErrors) return reject(err, "unknown Error code");
     e.code = static_cast<ProtoError>(code);
     e.message = std::string(r.rest());
     return e;

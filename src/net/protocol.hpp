@@ -16,7 +16,7 @@
 //
 // Integers are native-endian, like the store log: this is a same-machine /
 // same-arch serving protocol (the load generator and tests), not an
-// interchange format, and the Hello version gate guards the layout.
+// interchange format, and the Hello version check guards the layout.
 //
 // Message bodies:
 //   Hello (server -> client, on connect)
@@ -39,20 +39,20 @@
 //   MutateReply (server -> client)
 //     requestId u64, count u32, then count * { row i64 (the assigned /
 //     echoed row, -1 on failure), status u8 (MutateStatus) }
-//   Similarity (client -> server, v3)
+//   Similarity (client -> server)
 //     requestId u64, kind u8 (SimilarityKind: 1 nearest / 2 threshold),
 //     param u32 (k or maxDistance), maxResults u32, count u32, then count
 //     keys of wordBits trit-bytes
-//   SimilarityReply (server -> client, v3)
+//   SimilarityReply (server -> client)
 //     requestId u64, admission u8 (BatchAdmission), count u32, then per key
 //     { hits u32, then hits * { row i64, distance u32 } }
 //
-// Version negotiation: the Hello carries the server's version; a client
-// accepts any server version <= its own and gates feature use on it (Mutate
-// needs v2, Similarity needs v3 — using one against an older server is a
-// typed UnsupportedVersion failure at the call, and the tools reject the
-// combination at connect). A server *newer* than the client is refused at
-// connect: the client cannot know the newer layout.
+// One protocol version: the Hello carries it, and a client refuses a server
+// whose version is not kProtocolVersion (there is no feature negotiation).
+// The server never sends a frame larger than the maxFrameBytes its Hello
+// advertises: a request whose worst-case reply would be larger is refused
+// with a typed BadBody before any work, and the client decodes replies
+// against that advertised limit.
 //
 // decodeFrame is incremental: feed it the connection's receive buffer and it
 // reports NeedMore (keep reading), a complete validated Frame, or a typed
@@ -73,13 +73,9 @@
 namespace fetcam::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x464E4554u;  // "FNET"
-/// Version 2 added Mutate / MutateReply (online entry updates); version 3
-/// added Similarity / SimilarityReply (nearest-k / threshold queries).
+/// The one protocol version every server and client speaks (v3: query
+/// batches, Mutate and Similarity frames).
 inline constexpr std::uint32_t kProtocolVersion = 3;
-/// Lowest feature version that understands Mutate frames.
-inline constexpr std::uint32_t kMinMutateVersion = 2;
-/// Lowest feature version that understands Similarity frames.
-inline constexpr std::uint32_t kMinSimilarityVersion = 3;
 inline constexpr std::size_t kFrameHeaderSize = 16;
 /// Default per-frame ceiling: oversized-frame (memory-exhaustion) defense.
 inline constexpr std::uint32_t kDefaultMaxFrameBytes = 1u << 20;
@@ -109,8 +105,8 @@ enum class ProtoError : std::uint16_t {
     Draining = 8,       ///< server refused new work while draining
     TooManyConnections = 9,
     Truncated = 10,     ///< peer disconnected mid-frame (torn frame at EOF)
-    UnsupportedVersion = 11,  ///< feature (or whole server) beyond the
-                              ///< negotiated protocol version
+    UnsupportedVersion = 11,  ///< unused since the protocol has one version;
+                              ///< the code stays so later codes keep theirs
 };
 
 /// Number of distinct ProtoError codes (accounting-array sizing).
@@ -217,9 +213,9 @@ struct MutateReplyBody {
     std::vector<MutateStatus> status;
 };
 
-/// One batched similarity request (protocol v3). `param` is k for
-/// NearestK and maxDistance for Threshold; `maxResults` caps each key's
-/// reply (validated server-side against maxBatch).
+/// One batched similarity request. `param` is k for NearestK and
+/// maxDistance for Threshold; `maxResults` caps each key's reply
+/// (validated server-side against maxBatch).
 struct SimilarityBody {
     std::uint64_t requestId = 0;
     sim::SimilarityKind kind = sim::SimilarityKind::NearestK;
@@ -248,7 +244,8 @@ std::string encodeSimilarity(const SimilarityBody& sim);
 std::string encodeSimilarityReply(const SimilarityReplyBody& reply);
 
 /// Body decoders: nullopt (with `err` filled) on any validation failure —
-/// short body, trailing junk, trit bytes outside {0,1,2}, count overflow.
+/// short body, trailing junk, trit bytes outside {0,1,2}, count overflow,
+/// an Error code outside [1, kNumProtoErrors).
 std::optional<HelloBody> decodeHello(std::string_view body, std::string* err);
 std::optional<QueryBatchBody> decodeQueryBatch(std::string_view body, std::uint32_t wordBits,
                                                std::uint32_t maxBatch, std::string* err);

@@ -32,6 +32,10 @@ void setNonBlocking(int fd) {
                        "cannot set O_NONBLOCK: " + std::string(std::strerror(errno)));
 }
 
+/// BatchReply and SimilarityReply header: requestId u64, admission u8,
+/// count u32.
+constexpr std::size_t kReplyHeaderBytes = 13;
+
 Server* gSignalTarget = nullptr;
 
 void stopSignalHandler(int) {
@@ -207,7 +211,6 @@ void Server::acceptConnections(double now) {
             continue;
         }
         HelloBody hello;
-        hello.version = options_.advertiseVersion;
         hello.wordBits = static_cast<std::uint32_t>(engine_.wordBits());
         hello.maxBatch = options_.maxBatch;
         hello.maxFrameBytes = options_.maxFrameBytes;
@@ -328,6 +331,9 @@ void Server::handleSimilarity(int fd, const Frame& frame) {
         protoFail(fd, ProtoError::BadBody, err);
         return;
     }
+    // Worst case: every key returns a u32 hit count and limit() hits of
+    // { row i64, distance u32 }.
+    if (!replyFits(fd, sim->keys.size(), 4 + 12 * sim->toOptions().limit())) return;
     ++stats_.simRequests;
     stats_.simQueries += static_cast<std::int64_t>(sim->keys.size());
     if (obs::enabled()) {
@@ -363,32 +369,29 @@ void Server::handleSimilarity(int fd, const Frame& frame) {
     sendFrame(fd, MsgType::SimilarityReply, encodeSimilarityReply(reply));
 }
 
+bool Server::replyFits(int fd, std::size_t count, std::size_t perKeyBytes) {
+    // Divide rather than multiply: count * perKeyBytes could overflow.
+    if (count <= (options_.maxFrameBytes - kReplyHeaderBytes) / perKeyBytes) return true;
+    protoFail(fd, ProtoError::BadBody,
+              "worst-case reply of " + std::to_string(count) + " keys x " +
+                  std::to_string(perKeyBytes) + " bytes exceeds the " +
+                  std::to_string(options_.maxFrameBytes) + "-byte frame limit");
+    return false;
+}
+
 void Server::handleFrame(int fd, const Frame& frame, double now) {
-    if (frame.type == MsgType::Mutate) {
-        if (options_.advertiseVersion < kMinMutateVersion) {
-            protoFail(fd, ProtoError::UnsupportedVersion,
-                      "Mutate frames need protocol v" + std::to_string(kMinMutateVersion));
-            return;
-        }
-        handleMutate(fd, frame);
-        return;
+    switch (frame.type) {
+        case MsgType::QueryBatch: return handleQueryBatch(fd, frame, now);
+        case MsgType::Mutate: return handleMutate(fd, frame);
+        case MsgType::Similarity: return handleSimilarity(fd, frame);
+        default:
+            protoFail(fd, ProtoError::BadType,
+                      "unexpected " + std::to_string(static_cast<int>(frame.type)) +
+                          " frame from client");
     }
-    if (frame.type == MsgType::Similarity) {
-        if (options_.advertiseVersion < kMinSimilarityVersion) {
-            protoFail(fd, ProtoError::UnsupportedVersion,
-                      "Similarity frames need protocol v" +
-                          std::to_string(kMinSimilarityVersion));
-            return;
-        }
-        handleSimilarity(fd, frame);
-        return;
-    }
-    if (frame.type != MsgType::QueryBatch) {
-        protoFail(fd, ProtoError::BadType,
-                  std::string("unexpected ") + std::to_string(static_cast<int>(frame.type)) +
-                      " frame from client");
-        return;
-    }
+}
+
+void Server::handleQueryBatch(int fd, const Frame& frame, double now) {
     std::string err;
     auto batch = decodeQueryBatch(frame.body, static_cast<std::uint32_t>(engine_.wordBits()),
                                   options_.maxBatch, &err);
@@ -396,6 +399,8 @@ void Server::handleFrame(int fd, const Frame& frame, double now) {
         protoFail(fd, ProtoError::BadBody, err);
         return;
     }
+    // One { row i64, status u8 } per key.
+    if (!replyFits(fd, batch->keys.size(), 9)) return;
     ++stats_.requests;
     stats_.queries += static_cast<std::int64_t>(batch->keys.size());
     if (obs::enabled()) {

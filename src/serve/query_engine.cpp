@@ -77,7 +77,7 @@ QueryEngine::QueryEngine(EngineOptions options, std::shared_ptr<Characterization
     table->reserve(chunks.size());
     for (auto& c : chunks)
         table->push_back(std::shared_ptr<const MatchBackend>(std::move(c)));
-    table_.store(std::move(table), std::memory_order_release);
+    publishTable(std::move(table));
 }
 
 QueryEngine::~QueryEngine() {
@@ -197,6 +197,20 @@ sim::MlcCharacterization QueryEngine::simCost() {
     return simCostLocked();
 }
 
+std::shared_ptr<const QueryEngine::Table> QueryEngine::loadTable() const {
+    std::lock_guard<std::mutex> lock(tableMutex_);
+    return table_;
+}
+
+void QueryEngine::publishTable(std::shared_ptr<const Table> next) {
+    {
+        std::lock_guard<std::mutex> lock(tableMutex_);
+        table_.swap(next);
+    }
+    // `next` now holds the retired root; dropping it (possibly the last
+    // reference) happens outside the lock.
+}
+
 void QueryEngine::publishMutationLocked(const Table& table, std::int64_t row,
                                         const tcam::TernaryWord* word) {
     const auto chunk = static_cast<std::size_t>(row / kChunkRows);
@@ -208,7 +222,7 @@ void QueryEngine::publishMutationLocked(const Table& table, std::int64_t row,
     else
         clone->clear(local);
     (*next)[chunk] = std::shared_ptr<const MatchBackend>(std::move(clone));
-    table_.store(std::move(next), std::memory_order_release);
+    publishTable(std::move(next));
 }
 
 void QueryEngine::recordMutationLocked(bool isInsert, std::int64_t row,
@@ -252,7 +266,7 @@ std::int64_t QueryEngine::insert(const tcam::TernaryWord& word) {
         throw recover::SimError(recover::SimErrorReason::InvalidSpec,
                                 "QueryEngine::insert", "word width mismatch");
     std::lock_guard<std::mutex> lock(mutMutex_);
-    const auto table = table_.load(std::memory_order_acquire);
+    const auto table = loadTable();
     // Every row below freeHint_ is occupied (erase lowers the hint), so
     // starting the scan there assigns exactly the row a scan from 0 would.
     for (std::int64_t r = freeHint_; r < capacity_; ++r) {
@@ -272,7 +286,7 @@ void QueryEngine::insertAt(std::int64_t row, const tcam::TernaryWord& word) {
         throw recover::SimError(recover::SimErrorReason::InvalidSpec,
                                 "QueryEngine::insertAt", "word width mismatch");
     std::lock_guard<std::mutex> lock(mutMutex_);
-    const auto table = table_.load(std::memory_order_acquire);
+    const auto table = loadTable();
     const bool wasEmpty = !chunkOf(*table, row).occupied(row % kChunkRows);
     publishMutationLocked(*table, row, &word);
     if (wasEmpty) occupied_.fetch_add(1, std::memory_order_relaxed);
@@ -283,7 +297,7 @@ void QueryEngine::insertAt(std::int64_t row, const tcam::TernaryWord& word) {
 void QueryEngine::erase(std::int64_t row) {
     checkRow(row);
     std::lock_guard<std::mutex> lock(mutMutex_);
-    const auto table = table_.load(std::memory_order_acquire);
+    const auto table = loadTable();
     if (!chunkOf(*table, row).occupied(row % kChunkRows))
         return;  // no-op: nothing stored, nothing charged, nothing logged
     publishMutationLocked(*table, row, nullptr);
@@ -294,7 +308,7 @@ void QueryEngine::erase(std::int64_t row) {
 
 std::optional<tcam::TernaryWord> QueryEngine::entryAt(std::int64_t row) const {
     checkRow(row);
-    const auto table = table_.load(std::memory_order_acquire);
+    const auto table = loadTable();
     return chunkOf(*table, row).at(row % kChunkRows);
 }
 
@@ -313,7 +327,7 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
     // One root load per batch: every tile and every chunk scan below sees
     // the same table version, however many mutations land meanwhile — the
     // result is always valid at a single point in the mutation order.
-    const std::shared_ptr<const Table> table = table_.load(std::memory_order_acquire);
+    const std::shared_ptr<const Table> table = loadTable();
     const Table& chunks = *table;
 
     const bool obsOn = obs::enabled();
@@ -412,7 +426,7 @@ SimilarityBatchResult QueryEngine::similarityBatch(
 
     // One root load per batch — every tile and chunk scan sees the same
     // table version (see searchBatchMasked).
-    const std::shared_ptr<const Table> table = table_.load(std::memory_order_acquire);
+    const std::shared_ptr<const Table> table = loadTable();
     const Table& chunks = *table;
 
     const bool obsOn = obs::enabled();
@@ -601,7 +615,7 @@ void QueryEngine::flushTable() {
 bool QueryEngine::compactTable() {
     std::lock_guard<std::mutex> lock(mutMutex_);
     if (!tableLog_ || tableLog_->readOnly()) return false;
-    const auto table = table_.load(std::memory_order_acquire);
+    const auto table = loadTable();
     std::vector<store::Record> records;
     records.reserve(static_cast<std::size_t>(occupied_.load(std::memory_order_relaxed)));
     for (std::int64_t row = 0; row < capacity_; ++row) {

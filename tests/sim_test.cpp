@@ -12,9 +12,11 @@
 //      pricing knobs, and a warm restart from the on-disk store.
 //   4. Net — Similarity codec round-trip + malformed rejection, end-to-end
 //      client/server with the accounting invariant, overload shedding,
-//      and protocol version negotiation (client- and server-side gates).
+//      and the reply-size bound (a request whose worst-case reply exceeds
+//      the frame limit is refused before any scan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -93,10 +95,16 @@ std::vector<sim::SimilarityHits> naiveAll(const Fixture& f,
 
 /// Engine + Server on a background thread (the net_test idiom), entries
 /// 0..entries-1 stored as exact 8-bit words.
+/// Engine + Server on a background thread; entries 0..entries-1 stored as
+/// exact 8-bit words (capacity grows past 48 rows when entries need it).
 class SimServerHarness {
 public:
     explicit SimServerHarness(net::ServerOptions options = {}, int entries = 4)
-        : engine_(simOptions()) {
+        : engine_([entries] {
+              auto o = simOptions();
+              o.capacity = std::max<std::int64_t>(o.capacity, entries);
+              return o;
+          }()) {
         for (int i = 0; i < entries; ++i)
             engine_.insert(tcam::TernaryWord::fromBits(static_cast<std::uint64_t>(i), 8));
         options.port = 0;
@@ -556,6 +564,11 @@ TEST(SimProtocol, MalformedSimilarityRejected) {
     reply.hits[0] = {{3, 1}};
     const auto rbody = net::encodeSimilarityReply(reply);
     EXPECT_FALSE(net::decodeSimilarityReply(rbody.substr(0, rbody.size() - 2), &err));
+    // A key count the body cannot hold is refused before anything is sized
+    // from it.
+    std::string huge = rbody.substr(0, 9);
+    huge.append("\xff\xff\xff\xff", 4);
+    EXPECT_FALSE(net::decodeSimilarityReply(huge, &err));
 }
 
 // --- net: end to end -------------------------------------------------------
@@ -564,7 +577,7 @@ TEST(SimNet, EndToEndSimilarityMatchesOracle) {
     SimServerHarness h;
     net::Client client;
     client.connect("127.0.0.1", h.port());
-    EXPECT_EQ(client.serverVersion(), net::kProtocolVersion);
+    EXPECT_EQ(client.hello().version, net::kProtocolVersion);
 
     // The harness table as the oracle sees it: rows 0..3 hold words 0..3.
     std::vector<std::optional<tcam::TernaryWord>> rows(4);
@@ -640,57 +653,52 @@ TEST(SimNet, OverloadShedsSimilarityTyped) {
     EXPECT_EQ(h.engine().stats().simQueries, 0);  // shed keys never reach the engine
 }
 
-TEST(SimNet, ClientGatesFeaturesOnOldServers) {
-    net::ServerOptions opts;
-    opts.advertiseVersion = 1;  // emulate a pre-mutation, pre-similarity server
-    SimServerHarness h(opts);
+TEST(SimNet, OversizedSimilarityReplyRefusedBeforeScan) {
+    // 64 stored rows, so nearest-64 fills every hit list: a reply costs
+    // 13 + keys * (4 + 12 * 64) bytes against the 1 MiB default frame limit.
+    SimServerHarness h({}, 64);
+    const std::size_t perKey = 4 + 12 * 64;
+    const std::size_t fits = (net::kDefaultMaxFrameBytes - 13) / perKey;  // 1358 keys
+    auto nearest64 = [](std::uint64_t id, std::size_t keys) {
+        net::SimilarityBody body;
+        body.requestId = id;
+        body.kind = sim::SimilarityKind::NearestK;
+        body.param = 64;
+        body.maxResults = 64;
+        for (std::size_t i = 0; i < keys; ++i)
+            body.keys.push_back(tcam::TernaryWord::fromBits(i % 256, 8));
+        return body;
+    };
+
+    net::Client neighbour;
+    neighbour.connect("127.0.0.1", h.port());
     net::Client client;
     client.connect("127.0.0.1", h.port());
-    EXPECT_EQ(client.serverVersion(), 1u);
 
-    // Feature calls fail locally with a typed error; nothing goes on the wire.
-    net::MutateBody mutate;
-    mutate.requestId = 1;
-    mutate.ops.push_back({net::MutateOp::Insert, 0, tcam::TernaryWord::fromBits(9, 8)});
-    const auto mres = client.mutate(mutate);
-    EXPECT_EQ(mres.error, net::ProtoError::UnsupportedVersion);
+    // Just under the bound: served whole, every key with 64 hits.
+    const auto under = client.similarity(nearest64(1, fits));
+    ASSERT_TRUE(under.ok) << under.message;
+    ASSERT_TRUE(under.simReply.has_value());
+    ASSERT_EQ(under.simReply->hits.size(), fits);
+    EXPECT_EQ(under.simReply->hits.back().size(), 64u);
 
-    const auto sres =
-        client.similarity(makeSimRequest(2, sim::SimilarityKind::NearestK, 1, {0}));
-    EXPECT_EQ(sres.error, net::ProtoError::UnsupportedVersion);
+    // ~1400 keys would need a ~1.08 MB reply: refused with a typed BadBody
+    // instead of a reply the client cannot read.
+    const auto over = client.similarity(nearest64(2, 1400));
+    EXPECT_FALSE(over.ok);
+    EXPECT_EQ(over.error, net::ProtoError::BadBody) << over.message;
 
-    // Plain queries still work against a v1 server.
-    net::QueryBatchBody batch;
-    batch.requestId = 3;
-    batch.keys.push_back(tcam::TernaryWord::fromBits(2, 8));
-    const auto qres = client.query(batch);
-    ASSERT_TRUE(qres.ok);
-    EXPECT_EQ(qres.reply.rows[0], 2);
+    // Only that connection dies; the neighbour is still served.
+    const auto after =
+        neighbour.similarity(makeSimRequest(3, sim::SimilarityKind::NearestK, 1, {5}));
+    ASSERT_TRUE(after.ok) << after.message;
+    ASSERT_EQ(after.simReply->hits.size(), 1u);
+    EXPECT_EQ(after.simReply->hits[0].front().row, 5);
 
-    client.close();
+    neighbour.close();
     h.stop();
-    EXPECT_EQ(h.stats().simRequests, 0);  // the gated calls never arrived
-}
-
-TEST(SimNet, ServerRefusesFeatureFramesBeyondAdvertisedVersion) {
-    net::ServerOptions opts;
-    opts.advertiseVersion = 2;  // mutation yes, similarity no
-    SimServerHarness h(opts);
-    net::Client client;
-    client.connect("127.0.0.1", h.port());
-    EXPECT_EQ(client.serverVersion(), 2u);
-
-    // Bypass the client-side gate: push a raw v3 Similarity frame at a v2
-    // server. The server answers a typed error and drops the connection.
-    const auto req = makeSimRequest(4, sim::SimilarityKind::NearestK, 1, {0});
-    ASSERT_TRUE(client.sendRaw(
-        net::encodeFrame(net::MsgType::Similarity, net::encodeSimilarity(req))));
-    const auto err = client.readFrame(5.0);
-    EXPECT_EQ(err.error, net::ProtoError::UnsupportedVersion);
-    const auto eof = client.readFrame(5.0);
-    EXPECT_TRUE(eof.disconnected);
-
-    client.close();
-    h.stop();
-    EXPECT_EQ(h.stats().simRequests, 0);
+    EXPECT_EQ(h.stats().errorCounts[static_cast<std::size_t>(net::ProtoError::BadBody)], 1);
+    EXPECT_EQ(h.stats().simRequests, 2);
+    // The refused request never reached the engine.
+    EXPECT_EQ(h.engine().stats().simQueries, static_cast<std::int64_t>(fits) + 1);
 }

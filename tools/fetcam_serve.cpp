@@ -108,9 +108,6 @@ struct Args {
     double readTimeout = 5.0;
     double drainTimeout = 5.0;
     int bitsPerCell = 2;  ///< MLC model pricing similarity queries
-    /// Test hook: advertise (and behave as) an older protocol version, so
-    /// client-side version negotiation can be exercised end-to-end.
-    int advertiseVersion = static_cast<int>(net::kProtocolVersion);
 };
 
 Args parseArgs(int argc, char** argv) {
@@ -185,8 +182,6 @@ Args parseArgs(int argc, char** argv) {
             a.drainTimeout = std::atof(next().c_str());
         } else if (opt == "--bits-per-cell") {
             a.bitsPerCell = std::atoi(next().c_str());
-        } else if (opt == "--advertise-version") {
-            a.advertiseVersion = std::atoi(next().c_str());
         } else {
             throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_serve",
                                     "unknown option " + opt);
@@ -216,11 +211,6 @@ Args parseArgs(int argc, char** argv) {
         throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_serve",
                                 "--bits-per-cell expects 1.." +
                                     std::to_string(device::kMaxMlcBitsPerCell));
-    if (a.advertiseVersion < 1 ||
-        a.advertiseVersion > static_cast<int>(net::kProtocolVersion))
-        throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_serve",
-                                "--advertise-version expects 1.." +
-                                    std::to_string(net::kProtocolVersion));
     return a;
 }
 
@@ -556,7 +546,6 @@ int runListen(const Args& a, const std::shared_ptr<serve::CharacterizationCache>
     opts.defaultDeadline = a.deadlineMs * 1e-3;
     opts.drainTimeout = a.drainTimeout;
     opts.jobs = a.jobs;
-    opts.advertiseVersion = static_cast<std::uint32_t>(a.advertiseVersion);
 
     net::Server server(engine, opts);
     server.start();
