@@ -188,73 +188,25 @@ std::optional<tcam::WriteEnergyResult> unpackWriteResult(std::string_view bytes)
 CharacterizationCache::CharacterizationCache(const store::StoreConfig& config) {
     store::StoreConfig cfg = config;
     cfg.schemaVersion = kCharSchemaVersion;
-    attachStore(cfg);
-}
-
-CharacterizationCache::~CharacterizationCache() {
-    try {
-        flush();
-    } catch (...) {
-        // Destructor: best effort; complete frames are already buffered.
-    }
-}
-
-void CharacterizationCache::attachStore(const store::StoreConfig& config) {
-    // Constructor-only: no other thread can touch the cache yet, so the map
-    // is filled without taking mutex_ (which also keeps the degrade path
-    // below re-entrancy-safe).
-    try {
-        auto candidate = std::make_unique<store::CharStore>(config);
-        const auto records = candidate->load();
+    // Constructor-only: no other thread can touch the cache yet.
+    store_ = store::StoreHandle(cfg, [this](const std::vector<store::Record>& records) {
+        std::map<std::string, Entry> loaded;
         for (const auto& rec : records) {
-            if (rec.key.empty() ||
-                static_cast<std::uint8_t>(rec.key[0]) != kCharSchemaVersion)
+            const bool valid =
+                !rec.key.empty() &&
+                static_cast<std::uint8_t>(rec.key[0]) == kCharSchemaVersion &&
+                (rec.key.size() > 1 && rec.key[1] == kWriteKeyTag
+                     ? unpackWriteResult(rec.payload).has_value()
+                     : unpackResult(rec.payload).has_value());
+            if (!valid)
                 throw recover::SimError(
                     recover::SimErrorReason::CorruptData, "serve::CharacterizationCache",
                     "store record failed to unpack despite schema gate");
-            if (rec.key.size() > 1 && rec.key[1] == kWriteKeyTag) {
-                const auto write = unpackWriteResult(rec.payload);
-                if (!write)
-                    throw recover::SimError(
-                        recover::SimErrorReason::CorruptData,
-                        "serve::CharacterizationCache",
-                        "write record failed to unpack despite schema gate");
-                writeEntries_.emplace(rec.key, WriteEntry{*write, /*fromStore=*/true});
-                continue;
-            }
-            const auto result = unpackResult(rec.payload);
-            if (!result)
-                throw recover::SimError(
-                    recover::SimErrorReason::CorruptData, "serve::CharacterizationCache",
-                    "store record failed to unpack despite schema gate");
-            entries_.emplace(rec.key, Entry{*result, /*fromStore=*/true});
+            loaded.emplace(rec.key, Entry{rec.payload, /*fromStore=*/true});
         }
-        stats_.entries = static_cast<std::int64_t>(entries_.size() + writeEntries_.size());
-        storeStatus_.attached = true;
-        storeStatus_.readOnly = candidate->readOnly();
-        storeStatus_.load = candidate->loadStats();
-        store_ = std::move(candidate);
-    } catch (const recover::SimError& e) {
-        // Typed degradation: serve memory-only (always correct, just cold).
-        entries_.clear();
-        writeEntries_.clear();
-        stats_ = {};
-        store_.reset();
-        storeStatus_.attached = true;
-        storeStatus_.readOnly = config.readOnly;
-        storeStatus_.degraded = true;
-        storeStatus_.errorReason = e.reason();
-        storeStatus_.error = e.what();
-        if (obs::enabled()) obs::counter("store.degraded").add();
-    }
-}
-
-void CharacterizationCache::degradeStore(const recover::SimError& e) {
-    storeStatus_.degraded = true;
-    storeStatus_.errorReason = e.reason();
-    storeStatus_.error = e.what();
-    store_.reset();
-    if (obs::enabled()) obs::counter("store.degraded").add();
+        entries_ = std::move(loaded);
+        stats_.entries = static_cast<std::int64_t>(entries_.size());
+    });
 }
 
 std::string CharacterizationCache::keyOf(const array::WordSimOptions& o) {
@@ -287,62 +239,8 @@ std::string CharacterizationCache::writeKeyOf(tcam::CellKind kind,
     return key;
 }
 
-tcam::WriteEnergyResult CharacterizationCache::characterizeWrite(
-    tcam::CellKind kind, const device::TechCard& tech) {
-    std::string key = writeKeyOf(kind, tech);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = writeEntries_.find(key);
-        if (it != writeEntries_.end()) {
-            ++stats_.hits;
-            const bool fromStore = it->second.fromStore;
-            if (fromStore) ++stats_.storeHits;
-            if (obs::enabled()) {
-                static obs::Counter& hits = obs::counter("serve.cache.hits");
-                hits.add();
-                if (fromStore) {
-                    static obs::Counter& storeHits = obs::counter("store.hits");
-                    storeHits.add();
-                }
-            }
-            return it->second.result;
-        }
-    }
-
-    // Miss: run the one real write-waveform transient outside the lock.
-    const auto result = tcam::measureWriteEnergy(kind, tech);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.misses;
-        const bool inserted =
-            writeEntries_.emplace(key, WriteEntry{result, /*fromStore=*/false}).second;
-        stats_.entries = static_cast<std::int64_t>(entries_.size() + writeEntries_.size());
-        if (inserted && store_ && !store_->readOnly()) {
-            try {
-                store_->append(key, packWriteResult(result));
-                ++storeStatus_.appended;
-            } catch (const recover::SimError& e) {
-                degradeStore(e);
-            }
-        }
-    }
-    if (obs::enabled()) {
-        static obs::Counter& misses = obs::counter("serve.cache.misses");
-        misses.add();
-    }
-    return result;
-}
-
-array::WordSimResult CharacterizationCache::characterize(const array::WordSimOptions& o) {
-    if (!cacheable(o)) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.bypasses;
-        }
-        return array::simulateWordSearch(o);
-    }
-
-    std::string key = keyOf(o);
+std::string CharacterizationCache::lookupOrRun(std::string key,
+                                               const std::function<std::string()>& run) {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries_.find(key);
@@ -364,34 +262,46 @@ array::WordSimResult CharacterizationCache::characterize(const array::WordSimOpt
                              static_cast<double>(stats_.hits + stats_.misses));
                 }
             }
-            return it->second.result;
+            return it->second.payload;
         }
     }
 
     // Miss: pay the one real transient, outside the lock so concurrent
     // distinct keys characterize in parallel.
-    const auto result = array::simulateWordSearch(o);
-    bool inserted = false;
+    std::string payload = run();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.misses;
         // Racing insert: same key, same value; only the winner persists it.
-        inserted = entries_.emplace(key, Entry{result, /*fromStore=*/false}).second;
-        stats_.entries = static_cast<std::int64_t>(entries_.size() + writeEntries_.size());
-        if (inserted && store_ && !store_->readOnly()) {
-            try {
-                store_->append(key, packResult(result));
-                ++storeStatus_.appended;
-            } catch (const recover::SimError& e) {
-                degradeStore(e);
-            }
-        }
+        const auto [it, inserted] =
+            entries_.emplace(std::move(key), Entry{payload, /*fromStore=*/false});
+        stats_.entries = static_cast<std::int64_t>(entries_.size());
+        if (inserted) store_.append(it->first, payload);
     }
     if (obs::enabled()) {
         static obs::Counter& misses = obs::counter("serve.cache.misses");
         misses.add();
     }
-    return result;
+    return payload;
+}
+
+tcam::WriteEnergyResult CharacterizationCache::characterizeWrite(
+    tcam::CellKind kind, const device::TechCard& tech) {
+    return *unpackWriteResult(lookupOrRun(writeKeyOf(kind, tech), [&] {
+        return packWriteResult(tcam::measureWriteEnergy(kind, tech));
+    }));
+}
+
+array::WordSimResult CharacterizationCache::characterize(const array::WordSimOptions& o) {
+    if (!cacheable(o)) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.bypasses;
+        }
+        return array::simulateWordSearch(o);
+    }
+    return *unpackResult(
+        lookupOrRun(keyOf(o), [&] { return packResult(array::simulateWordSearch(o)); }));
 }
 
 array::WordSimFn CharacterizationCache::provider() {
@@ -400,30 +310,16 @@ array::WordSimFn CharacterizationCache::provider() {
 
 void CharacterizationCache::flush() {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!store_ || store_->readOnly()) return;
-    try {
-        store_->flush();
-    } catch (const recover::SimError& e) {
-        degradeStore(e);
-    }
+    store_.flush();
 }
 
 bool CharacterizationCache::compact() {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!store_ || store_->readOnly()) return false;
+    if (!store_.writable()) return false;
     std::vector<store::Record> records;
-    records.reserve(entries_.size() + writeEntries_.size());
-    for (const auto& [key, entry] : entries_)
-        records.push_back({key, packResult(entry.result)});
-    for (const auto& [key, entry] : writeEntries_)
-        records.push_back({key, packWriteResult(entry.result)});
-    try {
-        store_->compact(records);
-    } catch (const recover::SimError& e) {
-        degradeStore(e);
-        return false;
-    }
-    return true;
+    records.reserve(entries_.size());
+    for (const auto& [key, entry] : entries_) records.push_back({key, entry.payload});
+    return store_.compact(records);
 }
 
 CacheStats CharacterizationCache::stats() const {
@@ -431,16 +327,9 @@ CacheStats CharacterizationCache::stats() const {
     return stats_;
 }
 
-StoreStatus CharacterizationCache::storeStatus() const {
+store::StoreStatus CharacterizationCache::storeStatus() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return storeStatus_;
-}
-
-void CharacterizationCache::clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    writeEntries_.clear();
-    stats_ = {};
+    return store_.status();
 }
 
 }  // namespace fetcam::serve

@@ -16,27 +16,31 @@
 // Persistence: constructed with a store::StoreConfig the cache becomes a
 // warm-restartable service — prior characterizations load from the on-disk
 // record log at build time, misses append write-behind, and flush()/
-// compact() manage durability. A store that fails to open or validate
-// (locked, corrupt, version drift) degrades the cache to memory-only with a
-// typed error in storeStatus(): cold characterization is always correct,
-// stale or torn bytes never are.
+// compact() manage durability. The log sits behind a store::StoreHandle: a
+// store that fails to open or validate (locked, corrupt, version drift), or
+// a later append that fails, degrades the cache to memory-only with a typed
+// error in storeStatus(): cold characterization is always correct, stale or
+// torn bytes never are.
+//
+// Search and write characterizations share one record map keyed by the
+// packed request and holding the packed store payload, so both kinds take
+// the same lookup, simulate-on-miss and append path.
 //
 // Thread safety: characterize() may be called concurrently; a map mutex
-// protects lookups/inserts and misses simulate outside the lock. Two threads
-// racing on the same cold key both simulate and insert identical results, so
-// served values never depend on the schedule.
+// protects lookups/inserts (and the store handle) and misses simulate outside
+// the lock. Two threads racing on the same cold key both simulate and insert
+// identical results, so served values never depend on the schedule.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "array/energy_model.hpp"
-#include "recover/sim_error.hpp"
 #include "store/char_store.hpp"
 #include "tcam/write.hpp"
 
@@ -64,17 +68,6 @@ struct CacheStats {
     std::int64_t storeHits = 0;  ///< hits served by store-loaded entries
 };
 
-/// Health of the persistent backing, for tools and tests.
-struct StoreStatus {
-    bool attached = false;  ///< a store is live behind this cache
-    bool readOnly = false;
-    bool degraded = false;  ///< open/load failed; serving memory-only
-    recover::SimErrorReason errorReason = recover::SimErrorReason::IoError;
-    std::string error;  ///< empty when healthy
-    store::LoadStats load;
-    std::int64_t appended = 0;
-};
-
 /// Pack a cacheable WordSimResult (no waveforms) into the fixed-layout store
 /// payload. Throws SimError(InvalidSpec) if the result carries waveforms.
 std::string packResult(const array::WordSimResult& result);
@@ -92,7 +85,7 @@ std::optional<tcam::WriteEnergyResult> unpackWriteResult(std::string_view bytes)
 
 class CharacterizationCache {
 public:
-    /// In-memory-only cache (PR-4 behavior).
+    /// In-memory-only cache.
     CharacterizationCache() = default;
 
     /// Store-backed cache: opens `config.dir`, loads every persisted
@@ -101,8 +94,6 @@ public:
     /// used leaves the cache memory-only with the typed failure recorded in
     /// storeStatus().
     explicit CharacterizationCache(const store::StoreConfig& config);
-
-    ~CharacterizationCache();
 
     /// The cache key serialized from a request: one schema-version byte
     /// (kCharSchemaVersion), then cell kind, sense scheme and every design
@@ -146,29 +137,22 @@ public:
     bool compact();
 
     CacheStats stats() const;
-    StoreStatus storeStatus() const;
-    void clear();  ///< resident entries + stats; the on-disk log is untouched
+    store::StoreStatus storeStatus() const;
 
 private:
     struct Entry {
-        array::WordSimResult result;
+        std::string payload;  ///< packResult / packWriteResult bytes
         bool fromStore = false;
     };
 
-    struct WriteEntry {
-        tcam::WriteEnergyResult result;
-        bool fromStore = false;
-    };
+    /// The payload under `key`: a hit, or `run()` on a miss (outside the
+    /// lock), remembered and appended to the store.
+    std::string lookupOrRun(std::string key, const std::function<std::string()>& run);
 
-    void attachStore(const store::StoreConfig& config);
-    void degradeStore(const recover::SimError& e);
-
-    mutable std::mutex mutex_;
+    mutable std::mutex mutex_;  ///< guards entries_, stats_ and store_
     std::map<std::string, Entry> entries_;
-    std::map<std::string, WriteEntry> writeEntries_;
     CacheStats stats_;
-    std::unique_ptr<store::CharStore> store_;  ///< null when memory-only
-    StoreStatus storeStatus_;
+    store::StoreHandle store_;
 };
 
 }  // namespace fetcam::serve

@@ -8,6 +8,7 @@
 #include "numeric/parallel.hpp"
 #include "obs/obs.hpp"
 #include "recover/sim_error.hpp"
+#include "serve/delta_log.hpp"
 
 namespace fetcam::serve {
 
@@ -17,20 +18,6 @@ std::shared_ptr<CharacterizationCache> makeCache(const EngineOptions& options) {
     if (options.store.enabled())
         return std::make_shared<CharacterizationCache>(options.store);
     return std::make_shared<CharacterizationCache>();
-}
-
-std::string tritsOf(const tcam::TernaryWord& word) {
-    std::string trits(word.size(), '\0');
-    for (std::size_t i = 0; i < word.size(); ++i)
-        trits[i] = static_cast<char>(static_cast<int>(word[i]));
-    return trits;
-}
-
-tcam::TernaryWord wordOf(const std::string& trits) {
-    tcam::TernaryWord word(trits.size());
-    for (std::size_t i = 0; i < trits.size(); ++i)
-        word[i] = static_cast<tcam::Trit>(static_cast<unsigned char>(trits[i]));
-    return word;
 }
 
 }  // namespace
@@ -80,82 +67,40 @@ QueryEngine::QueryEngine(EngineOptions options, std::shared_ptr<Characterization
     publishTable(std::move(table));
 }
 
-QueryEngine::~QueryEngine() {
-    try {
-        flushTable();
-    } catch (...) {
-        // Destructor: best effort; complete frames are already buffered.
-    }
-}
-
 void QueryEngine::attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& chunks) {
     if (!options_.persistEntries || !options_.store.enabled()) return;
     store::StoreConfig cfg = options_.store;
-    cfg.schemaVersion = store::kTableSchemaVersion;
+    cfg.schemaVersion = kTableSchemaVersion;
     cfg.logName = store::CharStore::kTableLogName;
     cfg.lockName = store::CharStore::kTableLockName;
-    try {
-        auto log = std::make_unique<store::CharStore>(cfg);
-        const auto records = log->load();
+    tableLog_ = store::StoreHandle(cfg, [&](const std::vector<store::Record>& records) {
         // Validate the whole history against this engine's geometry before
         // applying anything: a log from a different table shape degrades
         // cleanly instead of replaying a half-fitting prefix.
-        std::vector<store::DeltaRecord> deltas;
+        std::vector<DeltaRecord> deltas;
         deltas.reserve(records.size());
         for (const auto& rec : records) {
-            auto d = store::unpackDelta(rec);
-            if (!d)
-                throw recover::SimError(recover::SimErrorReason::CorruptData,
-                                        "QueryEngine",
-                                        "table delta record failed to unpack");
-            if (d->row >= capacity_)
+            deltas.push_back(unpackDelta(rec, options_.shard.wordBits));
+            if (deltas.back().row >= capacity_)
                 throw recover::SimError(recover::SimErrorReason::CorruptData,
                                         "QueryEngine",
                                         "table delta row out of range for this geometry");
-            if (d->op == store::DeltaOp::Insert &&
-                static_cast<int>(d->trits.size()) != options_.shard.wordBits)
-                throw recover::SimError(recover::SimErrorReason::CorruptData,
-                                        "QueryEngine",
-                                        "table delta word width mismatch");
-            deltas.push_back(std::move(*d));
         }
         std::int64_t occupied = 0;
         for (const auto& d : deltas) {
             auto& chunk = chunks[static_cast<std::size_t>(d.row / kChunkRows)];
             const std::int64_t local = d.row % kChunkRows;
-            if (d.op == store::DeltaOp::Insert) {
+            if (d.word) {
                 if (!chunk->occupied(local)) ++occupied;
-                chunk->set(local, wordOf(d.trits));
+                chunk->set(local, *d.word);
             } else if (chunk->occupied(local)) {
                 chunk->clear(local);
                 --occupied;
             }
         }
         occupied_.store(occupied, std::memory_order_relaxed);
-        tableLogStatus_.attached = true;
-        tableLogStatus_.readOnly = log->readOnly();
-        tableLogStatus_.load = log->loadStats();
-        tableLogStatus_.replayed = static_cast<std::int64_t>(deltas.size());
-        tableLog_ = std::move(log);
-    } catch (const recover::SimError& e) {
-        // Typed degradation: serve the seed-empty table, entries memory-only.
-        tableLogStatus_.attached = true;
-        tableLogStatus_.readOnly = cfg.readOnly;
-        tableLogStatus_.degraded = true;
-        tableLogStatus_.errorReason = e.reason();
-        tableLogStatus_.error = e.what();
-        tableLog_.reset();
-        occupied_.store(0, std::memory_order_relaxed);
-        if (obs::enabled()) obs::counter("store.degraded").add();
-    }
-}
-
-void QueryEngine::degradeTableLogLocked(const recover::SimError& e) {
-    tableLogStatus_.degraded = true;
-    tableLogStatus_.errorReason = e.reason();
-    tableLogStatus_.error = e.what();
-    tableLog_.reset();
-    if (obs::enabled()) obs::counter("store.degraded").add();
+        restoredMutations_ = static_cast<std::int64_t>(deltas.size());
+    });
 }
 
 void QueryEngine::checkRow(std::int64_t row) const {
@@ -225,8 +170,8 @@ void QueryEngine::publishMutationLocked(const Table& table, std::int64_t row,
     publishTable(std::move(next));
 }
 
-void QueryEngine::recordMutationLocked(bool isInsert, std::int64_t row,
-                                       const tcam::TernaryWord* word) {
+void QueryEngine::recordMutationLocked(std::int64_t row, const tcam::TernaryWord* word) {
+    const bool isInsert = word != nullptr;
     const tcam::WordWriteResult cost = writeCostLocked();
     double accumulated = 0.0;
     {
@@ -246,18 +191,9 @@ void QueryEngine::recordMutationLocked(bool isInsert, std::int64_t row,
         (isInsert ? inserts : erases).add();
         obs::gauge("serve.write.energy").set(accumulated);
     }
-    if (tableLog_ && !tableLog_->readOnly()) {
-        store::DeltaRecord d;
-        d.op = isInsert ? store::DeltaOp::Insert : store::DeltaOp::Erase;
-        d.row = row;
-        if (word) d.trits = tritsOf(*word);
-        const store::Record rec = store::packDelta(d);
-        try {
-            tableLog_->append(rec.key, rec.payload);
-            ++tableLogStatus_.appended;
-        } catch (const recover::SimError& e) {
-            degradeTableLogLocked(e);
-        }
+    if (tableLog_.writable()) {
+        const store::Record rec = packDelta(row, word);
+        tableLog_.append(rec.key, rec.payload);
     }
 }
 
@@ -274,7 +210,7 @@ std::int64_t QueryEngine::insert(const tcam::TernaryWord& word) {
         publishMutationLocked(*table, r, &word);
         occupied_.fetch_add(1, std::memory_order_relaxed);
         freeHint_ = r + 1;
-        recordMutationLocked(/*isInsert=*/true, r, &word);
+        recordMutationLocked(r, &word);
         return r;
     }
     throw std::length_error("QueryEngine::insert: engine full");
@@ -291,7 +227,7 @@ void QueryEngine::insertAt(std::int64_t row, const tcam::TernaryWord& word) {
     publishMutationLocked(*table, row, &word);
     if (wasEmpty) occupied_.fetch_add(1, std::memory_order_relaxed);
     // Overwriting an occupied row is still a full word program — charge it.
-    recordMutationLocked(/*isInsert=*/true, row, &word);
+    recordMutationLocked(row, &word);
 }
 
 void QueryEngine::erase(std::int64_t row) {
@@ -303,7 +239,7 @@ void QueryEngine::erase(std::int64_t row) {
     publishMutationLocked(*table, row, nullptr);
     occupied_.fetch_sub(1, std::memory_order_relaxed);
     freeHint_ = std::min(freeHint_, row);
-    recordMutationLocked(/*isInsert=*/false, row, nullptr);
+    recordMutationLocked(row, nullptr);
 }
 
 std::optional<tcam::TernaryWord> QueryEngine::entryAt(std::int64_t row) const {
@@ -592,48 +528,26 @@ SubmitResult QueryEngine::submitBatch(const std::vector<tcam::TernaryWord>& keys
     return out;
 }
 
-std::int64_t QueryEngine::restoredMutations() const {
+store::StoreStatus QueryEngine::tableLogStatus() const {
     std::lock_guard<std::mutex> lock(mutMutex_);
-    return tableLogStatus_.replayed;
-}
-
-TableLogStatus QueryEngine::tableLogStatus() const {
-    std::lock_guard<std::mutex> lock(mutMutex_);
-    return tableLogStatus_;
+    return tableLog_.status();
 }
 
 void QueryEngine::flushTable() {
     std::lock_guard<std::mutex> lock(mutMutex_);
-    if (!tableLog_ || tableLog_->readOnly()) return;
-    try {
-        tableLog_->flush();
-    } catch (const recover::SimError& e) {
-        degradeTableLogLocked(e);
-    }
+    tableLog_.flush();
 }
 
 bool QueryEngine::compactTable() {
     std::lock_guard<std::mutex> lock(mutMutex_);
-    if (!tableLog_ || tableLog_->readOnly()) return false;
+    if (!tableLog_.writable()) return false;
     const auto table = loadTable();
     std::vector<store::Record> records;
     records.reserve(static_cast<std::size_t>(occupied_.load(std::memory_order_relaxed)));
-    for (std::int64_t row = 0; row < capacity_; ++row) {
-        const auto entry = chunkOf(*table, row).at(row % kChunkRows);
-        if (!entry) continue;
-        store::DeltaRecord d;
-        d.op = store::DeltaOp::Insert;
-        d.row = row;
-        d.trits = tritsOf(*entry);
-        records.push_back(store::packDelta(d));
-    }
-    try {
-        tableLog_->compact(records);
-    } catch (const recover::SimError& e) {
-        degradeTableLogLocked(e);
-        return false;
-    }
-    return true;
+    for (std::int64_t row = 0; row < capacity_; ++row)
+        if (const auto entry = chunkOf(*table, row).at(row % kChunkRows))
+            records.push_back(packDelta(row, &*entry));
+    return tableLog_.compact(records);
 }
 
 EngineStats QueryEngine::stats() const {

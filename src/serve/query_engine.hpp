@@ -55,7 +55,8 @@
 // from disk instead of re-running the solver — bit-identical by the same
 // provider contract that makes the in-memory cache invisible. With
 // EngineOptions.persistEntries the same directory additionally carries an
-// entry delta log (store/delta_log.hpp): every insert/erase appends a
+// entry delta log (serve/delta_log.hpp) behind a store::StoreHandle, the
+// same degrading handle the cache uses: every insert/erase appends a
 // CRC-framed record, and a restarted engine replays the *mutated* table
 // bit-identically before serving. A log that fails to open, or whose
 // records do not fit this engine's geometry, degrades to memory-only
@@ -86,7 +87,6 @@
 #include "serve/match_backend.hpp"
 #include "sim/mlc_model.hpp"
 #include "sim/similarity.hpp"
-#include "store/delta_log.hpp"
 #include "tcam/write_schedule.hpp"
 
 namespace fetcam::serve {
@@ -179,18 +179,6 @@ struct EngineStats {
     double simEnergy = 0.0;       ///< [J] accumulated MLC search energy
 };
 
-/// Health of the persistent entry delta log (tableLogStatus()).
-struct TableLogStatus {
-    bool attached = false;  ///< persistEntries was requested with a store dir
-    bool readOnly = false;
-    bool degraded = false;  ///< open/load/replay failed; entries memory-only
-    recover::SimErrorReason errorReason = recover::SimErrorReason::IoError;
-    std::string error;  ///< empty when healthy
-    store::LoadStats load;
-    std::int64_t replayed = 0;  ///< delta records applied at construction
-    std::int64_t appended = 0;  ///< delta records written by this engine
-};
-
 /// Typed outcome of an admission-controlled submission.
 enum class BatchAdmission {
     Accepted,  ///< ran; `result` is valid
@@ -234,8 +222,6 @@ public:
     /// serving never runs the solver.
     explicit QueryEngine(EngineOptions options,
                          std::shared_ptr<CharacterizationCache> cache = {});
-
-    ~QueryEngine();
 
     // --- entry management (global row index = priority, lowest wins) ---
     // Safe to call while batches are in flight: mutations publish a new
@@ -316,13 +302,15 @@ public:
     const std::shared_ptr<CharacterizationCache>& cache() const { return cache_; }
     /// Persistence health of the underlying cache (memory-only when the
     /// engine was built without a store).
-    StoreStatus storeStatus() const { return cache_->storeStatus(); }
+    store::StoreStatus storeStatus() const { return cache_->storeStatus(); }
 
     // --- entry persistence (persistEntries) ---
     /// Delta records replayed into the table at construction (0 for a cold
-    /// start or when persistence is off/degraded).
-    std::int64_t restoredMutations() const;
-    TableLogStatus tableLogStatus() const;
+    /// start, an empty log, or when persistence is off/degraded).
+    std::int64_t restoredMutations() const { return restoredMutations_; }
+    /// Health of the entry delta log: attached when persistEntries was
+    /// requested with a store dir; load.startedFresh when no log existed.
+    store::StoreStatus tableLogStatus() const;
     /// Push write-behind delta appends to disk (no-op without a log).
     void flushTable();
     /// Snapshot the occupied rows into a deduplicated delta log, atomically
@@ -360,15 +348,13 @@ private:
     void publishMutationLocked(const Table& table, std::int64_t row,
                                const tcam::TernaryWord* word);
     /// Charge one effective mutation: write cost into stats_ + obs, delta
-    /// record into the table log. Caller holds mutMutex_.
-    void recordMutationLocked(bool isInsert, std::int64_t row,
-                              const tcam::TernaryWord* word);
+    /// record into the table log. Caller holds mutMutex_. `word` null = erase.
+    void recordMutationLocked(std::int64_t row, const tcam::TernaryWord* word);
     tcam::WordWriteResult writeCostLocked();
     sim::MlcCharacterization simCostLocked();
     /// Open the delta log and replay it into the pre-publication chunks.
     /// Constructor-only (no concurrency yet).
     void attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& chunks);
-    void degradeTableLogLocked(const recover::SimError& e);
 
     EngineOptions options_;
     std::shared_ptr<CharacterizationCache> cache_;
@@ -389,8 +375,8 @@ private:
     std::int64_t freeHint_ = 0;
     std::optional<tcam::WordWriteResult> writeCost_;  ///< lazy, cached
     std::optional<sim::MlcCharacterization> simCost_;  ///< lazy, cached
-    std::unique_ptr<store::CharStore> tableLog_;  ///< null when not persisting
-    TableLogStatus tableLogStatus_;
+    store::StoreHandle tableLog_;  ///< detached when not persisting
+    std::int64_t restoredMutations_ = 0;  ///< set at construction only
     mutable std::mutex statsMutex_;  ///< guards stats_
     EngineStats stats_;
     std::atomic<int> inFlight_{0};

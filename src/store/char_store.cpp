@@ -217,4 +217,55 @@ std::int64_t CharStore::logBytes() const {
     return writer_.isOpen() ? writer_.fileBytes() : 0;
 }
 
+StoreHandle::StoreHandle(const StoreConfig& config, const Apply& apply) {
+    status_.attached = true;
+    status_.readOnly = config.readOnly;
+    try {
+        auto store = std::make_unique<CharStore>(config);
+        apply(store->load());
+        status_.load = store->loadStats();
+        store_ = std::move(store);
+    } catch (const SimError& e) {
+        degrade(e);
+    }
+}
+
+void StoreHandle::degrade(const SimError& e) {
+    status_.degraded = true;
+    status_.errorReason = e.reason();
+    status_.error = e.what();
+    store_.reset();
+    if (obs::enabled()) obs::counter("store.degraded").add();
+}
+
+void StoreHandle::append(std::string_view key, std::string_view payload) {
+    if (!writable()) return;
+    try {
+        store_->append(key, payload);
+        ++status_.appended;
+    } catch (const SimError& e) {
+        degrade(e);
+    }
+}
+
+void StoreHandle::flush() {
+    if (!writable()) return;
+    try {
+        store_->flush();
+    } catch (const SimError& e) {
+        degrade(e);
+    }
+}
+
+bool StoreHandle::compact(const std::vector<Record>& records) {
+    if (!writable()) return false;
+    try {
+        store_->compact(records);
+        return true;
+    } catch (const SimError& e) {
+        degrade(e);
+        return false;
+    }
+}
+
 }  // namespace fetcam::store

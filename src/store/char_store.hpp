@@ -24,13 +24,20 @@
 // Thread safety: load() is construction-time single-shot; append/flush/
 // compact serialize on an internal mutex so the serve cache can append from
 // concurrent characterize() misses.
+//
+// StoreHandle (below) is how owners use a CharStore: it opens and loads the
+// log, hands the records to the owner, and falls back to memory-only with a
+// typed StoreStatus on any store trouble, then or later.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "recover/sim_error.hpp"
 #include "store/record_log.hpp"
 
 namespace fetcam::store {
@@ -65,8 +72,9 @@ class CharStore {
 public:
     static constexpr const char* kLogName = "char.fcs";
     static constexpr const char* kLockName = "char.lock";
-    /// Entry delta-record log names (see delta_log.hpp): same directory, own
-    /// writer lock, so one store dir can hold both record families.
+    /// Entry delta-record log names (see serve/delta_log.hpp): same
+    /// directory, own writer lock, so one store dir can hold both record
+    /// families.
     static constexpr const char* kTableLogName = "table.fcs";
     static constexpr const char* kTableLockName = "table.lock";
     static constexpr const char* kQuarantineSuffix = ".corrupt";
@@ -116,6 +124,53 @@ private:
     mutable std::mutex mutex_;  ///< guards writer_ + appended_
     LogWriter writer_;
     std::int64_t appended_ = 0;
+};
+
+/// Health of a StoreHandle, for tools and tests.
+struct StoreStatus {
+    bool attached = false;  ///< a store was configured behind the owner
+    bool readOnly = false;
+    bool degraded = false;  ///< open/load/apply or a later write failed; memory-only
+    recover::SimErrorReason errorReason = recover::SimErrorReason::IoError;
+    std::string error;  ///< empty when healthy
+    LoadStats load;
+    std::int64_t appended = 0;  ///< records written through this handle
+};
+
+/// One record log behind a fallback-to-memory policy. Store trouble never
+/// escapes: any SimError detaches the log, marks the handle degraded (reason
+/// and message in status(), obs counter store.degraded) and the owner keeps
+/// serving from memory — cold state is always correct, a half-read log is
+/// not. Not thread-safe: the owner serializes calls under its own lock.
+class StoreHandle {
+public:
+    using Apply = std::function<void(const std::vector<Record>&)>;
+
+    /// Detached: no store configured.
+    StoreHandle() = default;
+
+    /// Opens and loads `config`'s log, then passes every record to `apply`.
+    /// `apply` must check every record before it changes any owner state and
+    /// throw SimError(CorruptData) on one it cannot use, so a rejected log is
+    /// never half-applied. A SimError from open, load or apply degrades.
+    StoreHandle(const StoreConfig& config, const Apply& apply);
+
+    /// Attached, healthy and read-write: append/flush/compact reach the log.
+    /// Each of them is a no-op otherwise.
+    bool writable() const { return store_ && !store_->readOnly(); }
+    void append(std::string_view key, std::string_view payload);
+    void flush();
+    /// Atomically replace the log with `records`. False when not writable
+    /// or when the compaction failed (the handle is then degraded).
+    bool compact(const std::vector<Record>& records);
+
+    const StoreStatus& status() const { return status_; }
+
+private:
+    void degrade(const recover::SimError& e);
+
+    std::unique_ptr<CharStore> store_;  ///< null when detached or degraded
+    StoreStatus status_;
 };
 
 }  // namespace fetcam::store

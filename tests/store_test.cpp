@@ -457,3 +457,110 @@ TEST(RecordLog, SyncDirectoryIsTypedNeverBestEffort) {
     EXPECT_NO_THROW(store::syncDirectory(dir.string()));
     fs::remove_all(dir);
 }
+
+// ---------------------------------------------------------------------------
+// StoreHandle: the one fallback-to-memory policy both record logs use. Store
+// trouble, at open or later, never escapes as an exception: the handle
+// detaches, reports a typed degraded status and turns every write into a
+// no-op, and a rejected log is never written.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+class StoreHandleTest : public StoreTest {};
+
+}  // namespace
+
+TEST_F(StoreHandleTest, DetachedHandleIsAMemoryOnlyNoop) {
+    store::StoreHandle h;
+    EXPECT_FALSE(h.status().attached);
+    EXPECT_FALSE(h.status().degraded);
+    EXPECT_FALSE(h.writable());
+    h.append("k", "v");
+    h.flush();
+    EXPECT_FALSE(h.compact(kRecords));
+    EXPECT_EQ(h.status().appended, 0);
+    EXPECT_FALSE(fs::exists(dir_));
+}
+
+TEST_F(StoreHandleTest, AppliesLoadedRecordsThenAppends) {
+    writeStore(kRecords);
+    std::vector<store::Record> seen;
+    {
+        store::StoreHandle h(cfg(), [&](const std::vector<store::Record>& r) { seen = r; });
+        ASSERT_TRUE(h.writable());
+        EXPECT_TRUE(h.status().attached);
+        EXPECT_EQ(h.status().load.recordsLoaded, 3);
+        h.append("delta", "four");
+        EXPECT_EQ(h.status().appended, 1);
+    }  // closing the handle flushes
+    ASSERT_EQ(seen.size(), kRecords.size());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i].key, kRecords[i].key);
+        EXPECT_EQ(seen[i].payload, kRecords[i].payload);
+    }
+    store::CharStore reader(cfg(/*readOnly=*/true));
+    const auto all = reader.load();
+    ASSERT_EQ(all.size(), 4u);
+    EXPECT_EQ(all[3].key, "delta");
+    EXPECT_EQ(all[3].payload, "four");
+}
+
+TEST_F(StoreHandleTest, RejectedApplyDegradesTypedAndNeverWrites) {
+    writeStore(kRecords);
+    const std::string before = readFile();
+    store::StoreHandle h(cfg(), [](const std::vector<store::Record>&) {
+        throw SimError(SimErrorReason::CorruptData, "test", "record rejected");
+    });
+    EXPECT_TRUE(h.status().attached);
+    EXPECT_TRUE(h.status().degraded);
+    EXPECT_EQ(h.status().errorReason, SimErrorReason::CorruptData);
+    EXPECT_NE(h.status().error.find("record rejected"), std::string::npos);
+    EXPECT_FALSE(h.writable());
+    h.append("k", "v");
+    h.flush();
+    EXPECT_FALSE(h.compact(kRecords));
+    EXPECT_EQ(h.status().appended, 0);
+    EXPECT_EQ(readFile(), before);
+}
+
+TEST_F(StoreHandleTest, LockedStoreDegradesWithIoErrorBeforeApply) {
+    store::CharStore holder(cfg());
+    (void)holder.load();
+    bool applied = false;
+    store::StoreHandle h(cfg(), [&](const std::vector<store::Record>&) { applied = true; });
+    EXPECT_TRUE(h.status().degraded);
+    EXPECT_EQ(h.status().errorReason, SimErrorReason::IoError);
+    EXPECT_FALSE(applied);
+}
+
+TEST_F(StoreHandleTest, ReadOnlyHandleLoadsButNeverWrites) {
+    writeStore(kRecords);
+    const std::string before = readFile();
+    std::size_t seen = 0;
+    store::StoreHandle h(cfg(/*readOnly=*/true),
+                         [&](const std::vector<store::Record>& r) { seen = r.size(); });
+    EXPECT_EQ(seen, kRecords.size());
+    EXPECT_TRUE(h.status().readOnly);
+    EXPECT_FALSE(h.status().degraded);
+    EXPECT_FALSE(h.writable());
+    h.append("k", "v");
+    EXPECT_FALSE(h.compact({}));
+    EXPECT_EQ(h.status().appended, 0);
+    EXPECT_EQ(readFile(), before);
+}
+
+TEST_F(StoreHandleTest, FailedCompactionDegradesInsteadOfThrowing) {
+    store::StoreHandle h(cfg(), [](const std::vector<store::Record>&) {});
+    ASSERT_TRUE(h.writable());
+    // A directory squatting on the snapshot's temporary name makes the
+    // compaction fail with a typed IoError.
+    fs::create_directory(logPath() + store::CharStore::kCompactSuffix);
+    EXPECT_FALSE(h.compact(kRecords));
+    EXPECT_TRUE(h.status().degraded);
+    EXPECT_EQ(h.status().errorReason, SimErrorReason::IoError);
+    EXPECT_FALSE(h.writable());
+    h.append("k", "v");
+    h.flush();
+    EXPECT_EQ(h.status().appended, 0);
+}

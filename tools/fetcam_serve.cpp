@@ -39,8 +39,10 @@
 // --persist-entries (listen mode, requires --store) additionally journals
 // every table mutation (protocol Mutate frames) as CRC-framed delta records
 // in DIR/table.fcs: a restart replays the deltas and serves the *mutated*
-// table bit-identically — the deterministic seed set is only installed on a
-// cold start (restoredMutations() == 0).
+// table bit-identically — the deterministic seed set is only installed when
+// no table log was loaded (none existed, or it was unusable). A log that
+// loaded with zero records, e.g. one compacted while the table was empty,
+// restarts an empty table.
 //
 // --store DIR backs the characterization cache with a crash-safe on-disk
 // record log: the first run pays the solver transients and persists them;
@@ -499,7 +501,8 @@ void writeListenJson(const std::string& path, const net::Server& server,
     const auto tls = engine.tableLogStatus();
     os << "    \"tableLog\": {\"attached\": " << (tls.attached ? "true" : "false")
        << ", \"degraded\": " << (tls.degraded ? "true" : "false")
-       << ", \"replayed\": " << tls.replayed << ", \"appended\": " << tls.appended
+       << ", \"replayed\": " << engine.restoredMutations()
+       << ", \"appended\": " << tls.appended
        << ", \"occupied\": " << engine.occupancy() << "}\n  }\n}\n";
 }
 
@@ -523,16 +526,16 @@ int runListen(const Args& a, const std::shared_ptr<serve::CharacterizationCache>
                      "fetcam_serve: warning: table log unusable, entries memory-only "
                      "[%s] %s\n",
                      recover::reasonName(tls.errorReason), tls.error.c_str());
-    if (engine.restoredMutations() > 0) {
-        // Warm restart: the delta log already replayed the mutated table;
-        // installing the seed set would clobber it.
+    if (!tls.attached || tls.degraded || tls.load.startedFresh) {
+        const auto entries = tools::makeListenEntries(a.seed, a.entries, a.wordBits);
+        for (const auto& word : entries) engine.insert(word);
+    } else {
+        // Warm restart: the delta log already replayed the mutated table
+        // (possibly an empty one); installing the seed set would clobber it.
         std::printf("fetcam_serve: warm table restart — %lld mutations replayed, "
                     "%lld rows occupied\n",
                     static_cast<long long>(engine.restoredMutations()),
                     static_cast<long long>(engine.occupancy()));
-    } else {
-        const auto entries = tools::makeListenEntries(a.seed, a.entries, a.wordBits);
-        for (const auto& word : entries) engine.insert(word);
     }
 
     net::ServerOptions opts;
