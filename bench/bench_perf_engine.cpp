@@ -54,9 +54,13 @@ namespace {
 // (netlists are ladders/arrays, so MNA matrices are locality-structured with
 // modest bandwidth) plus an occasional long-range rail connection. Random
 // all-to-all coupling would be a dense-fill-in stress test, not an MNA one.
-numeric::SparseMatrixCsc mnaLikeMatrix(int n, std::uint64_t seed) {
+// With `hub`, node 0 also couples to every third node, the way a matchline
+// touches every cell of a word: the shape where the column order decides
+// whether L+U stays sparse.
+numeric::SparseMatrixCsc mnaLikeMatrix(int n, std::uint64_t seed, bool hub = false) {
     numeric::Rng rng(seed);
     numeric::TripletList t(n, n);
+    double hubOff = 0.0;
     for (int i = 0; i < n; ++i) {
         double off = 0.0;
         for (int k = 0; k < 3; ++k) {
@@ -68,8 +72,16 @@ numeric::SparseMatrixCsc mnaLikeMatrix(int n, std::uint64_t seed) {
             t.add(j, i, v);  // near-symmetric, like nodal conductance stamps
             off += std::abs(v);
         }
+        if (hub && i > 0 && i % 3 == 0) {
+            const double v = rng.uniform(-1e-3, 1e-3);
+            t.add(0, i, v);
+            t.add(i, 0, v);
+            off += std::abs(v);
+            hubOff += std::abs(v);
+        }
         t.add(i, i, off + rng.uniform(1e-4, 1e-2));
     }
+    if (hub) t.add(0, 0, hubOff);
     return numeric::SparseMatrixCsc::fromTriplets(t);
 }
 
@@ -88,9 +100,9 @@ BENCHMARK(BM_SparseLuFactorize)->Arg(64)->Arg(256)->Arg(1024);
 // Numeric-only refactorization following the cached pattern + pivot order —
 // compare against BM_SparseLuFactorize at the same size for the KLU-style
 // reuse win (acceptance target: >= 2x at n=1024).
-void BM_SparseLuRefactor(benchmark::State& state) {
+void refactorAndSolve(benchmark::State& state, bool hub) {
     const int n = static_cast<int>(state.range(0));
-    const auto m = mnaLikeMatrix(n, 42);
+    const auto m = mnaLikeMatrix(n, 42, hub);
     std::vector<double> b(static_cast<std::size_t>(n), 1.0);
     numeric::SparseLu lu(m);
     std::vector<double> x;
@@ -102,9 +114,17 @@ void BM_SparseLuRefactor(benchmark::State& state) {
         lu.solveInto(b, x);
         benchmark::DoNotOptimize(x.data());
     }
+    state.counters["lu_nonzeros"] = benchmark::Counter(lu.nonZeros());
     state.SetItemsProcessed(state.iterations());
 }
+
+void BM_SparseLuRefactor(benchmark::State& state) { refactorAndSolve(state, false); }
 BENCHMARK(BM_SparseLuRefactor)->Arg(64)->Arg(256)->Arg(1024);
+
+// The same on the hub-shaped matrix: the cost a transient step pays per
+// Newton iteration on a word's matchline.
+void BM_SparseLuRefactorHub(benchmark::State& state) { refactorAndSolve(state, true); }
+BENCHMARK(BM_SparseLuRefactorHub)->Arg(64)->Arg(256)->Arg(1024);
 
 void stampLadder(spice::Mna& mna, int nodes) {
     for (spice::NodeId a = 1; a < nodes; ++a) {

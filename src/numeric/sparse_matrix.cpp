@@ -122,15 +122,181 @@ int luDfs(int start, const std::vector<int>& lp, const std::vector<int>& li,
 
 }  // namespace
 
+// Minimum-degree column order on the quotient graph of A+A^T (George & Liu;
+// degree bound and element absorption as in AMD, Amestoy-Davis-Duff 1996).
+// Each eliminated pivot becomes an "element" holding its uneliminated
+// neighbours, so the fill it implies is never materialized and the graph
+// stays within nnz(A) plus one member list per pivot.
+//
+// The pivot is the head of the lowest non-empty degree bucket. Buckets are
+// LIFO lists filled in descending index order, so ties go to the variable
+// whose degree changed last, then to the lowest index: the order is a pure
+// function of the pattern.
+//
+// Storage is one flat list (mdList_) with a region per node
+// [start, start + len). A variable's region holds its `elems` adjacent
+// elements first, then its adjacent variables; an element's region holds
+// its members. state: 0 variable, 1 element, 2 absorbed element.
+void SparseLu::orderColumns(const SparseMatrixCsc& a) {
+    const auto& ap = a.colPtr();
+    const auto& ai = a.rowIdx();
+    auto& list = mdList_;
+    mdWork_.assign(10 * static_cast<std::size_t>(n_) + 1, 0);
+    int* start = mdWork_.data();  // n_ + 1 entries
+    int* len = start + n_ + 1;
+    int* elems = len + n_;
+    int* degree = elems + n_;
+    int* mark = degree + n_;
+    int* outside = mark + n_;
+    int* state = outside + n_;
+    int* head = state + n_;
+    int* next = head + n_;
+    int* prev = next + n_;
+
+    // Pattern of A+A^T without the diagonal: upper-bound regions, filled,
+    // then deduplicated in place.
+    for (int c = 0; c < n_; ++c)
+        for (int p = ap[c]; p < ap[c + 1]; ++p)
+            if (ai[p] != c) {
+                ++start[ai[p] + 1];
+                ++start[c + 1];
+            }
+    for (int i = 0; i < n_; ++i) start[i + 1] += start[i];
+    list.resize(start[n_]);
+    for (int c = 0; c < n_; ++c)
+        for (int p = ap[c]; p < ap[c + 1]; ++p)
+            if (const int r = ai[p]; r != c) {
+                list[start[r] + len[r]++] = c;
+                list[start[c] + len[c]++] = r;
+            }
+    for (int i = 0; i < n_; ++i) {
+        int kept = 0;
+        for (int j = start[i]; j < start[i] + len[i]; ++j)
+            if (const int v = list[j]; mark[v] != i + 1) {
+                mark[v] = i + 1;
+                list[start[i] + kept++] = v;
+            }
+        len[i] = degree[i] = kept;
+    }
+
+    int minDegree = 0;
+    const auto insert = [&](int i) {
+        const int d = degree[i];
+        next[i] = head[d];
+        prev[i] = -1;
+        if (head[d] >= 0) prev[head[d]] = i;
+        head[d] = i;
+        minDegree = std::min(minDegree, d);
+    };
+    const auto remove = [&](int i) {
+        (prev[i] >= 0 ? next[prev[i]] : head[degree[i]]) = next[i];
+        if (next[i] >= 0) prev[next[i]] = prev[i];
+    };
+    std::fill(head, head + n_, -1);
+    for (int i = n_ - 1; i >= 0; --i) insert(i);
+
+    q_.resize(n_);
+    for (int k = 0; k < n_; ++k) {
+        while (head[minDegree] < 0) ++minDegree;
+        const int piv = head[minDegree];
+        remove(piv);
+        q_[k] = piv;
+
+        // The new element Lp: every variable reachable from piv through its
+        // elements (which it absorbs) or directly. mark[v] == stamp flags Lp.
+        const int lpStart = static_cast<int>(list.size());
+        const int stamp = n_ + k + 1;
+        mark[piv] = stamp;
+        for (int j = start[piv]; j < start[piv] + len[piv]; ++j) {
+            const int v = list[j];
+            if (j < start[piv] + elems[piv]) {
+                state[v] = 2;
+                for (int m = start[v]; m < start[v] + len[v]; ++m)
+                    if (const int w = list[m]; mark[w] != stamp) {
+                        mark[w] = stamp;
+                        list.push_back(w);
+                    }
+            } else if (mark[v] != stamp) {
+                mark[v] = stamp;
+                list.push_back(v);
+            }
+        }
+        state[piv] = 1;
+        start[piv] = lpStart;
+        const int lpLen = static_cast<int>(list.size()) - lpStart;
+        len[piv] = lpLen;
+
+        // outside[e] = |Le \ Lp| for every other element next to Lp.
+        for (int j = lpStart; j < lpStart + lpLen; ++j) {
+            const int i = list[j];
+            for (int m = start[i]; m < start[i] + elems[i]; ++m) {
+                const int e = list[m];
+                if (state[e] != 1) continue;
+                if (mark[e] != stamp) {
+                    mark[e] = stamp;
+                    outside[e] = len[e];
+                }
+                --outside[e];
+            }
+        }
+
+        // Each member drops absorbed elements, elements now inside Lp, and
+        // the variables Lp covers, and gains piv. It held piv directly or
+        // through an absorbed element, so its region never grows. Its degree
+        // becomes the AMD bound: the variables and element members it still
+        // sees outside Lp, plus Lp itself.
+        const int remaining = n_ - k - 2;
+        for (int j = lpStart; j < lpStart + lpLen; ++j) {
+            const int i = list[j];
+            const int from = start[i];
+            const int varsFrom = from + elems[i];
+            const int end = from + len[i];
+            int out = from;
+            int d = lpLen - 1;
+            for (int m = from; m < varsFrom; ++m) {
+                const int e = list[m];
+                if (state[e] != 1) continue;
+                if (outside[e] == 0) {
+                    state[e] = 2;  // Le is a subset of Lp
+                    continue;
+                }
+                d += outside[e];
+                list[out++] = e;
+            }
+            // piv goes after the elements; the first variable moves to the
+            // end to make room.
+            const int firstVar = out;
+            for (int m = varsFrom; m < end; ++m)
+                if (const int v = list[m]; mark[v] != stamp) {
+                    ++d;
+                    list[out++] = v;
+                }
+            if (out > firstVar) list[out] = list[firstVar];
+            list[firstVar] = piv;
+            elems[i] = firstVar - from + 1;
+            len[i] = out + 1 - from;
+            d = std::min({d, degree[i] + lpLen - 1, remaining});
+            if (d != degree[i]) {
+                remove(i);
+                degree[i] = d;
+                insert(i);
+            }
+        }
+    }
+}
+
 void SparseLu::factor(const SparseMatrixCsc& a, double pivotTol) {
     if (a.rows() != a.cols()) throw std::invalid_argument("SparseLu: matrix must be square");
     factored_ = false;
     n_ = a.rows();
-    nnzA_ = a.nonZeros();
     const auto& ap = a.colPtr();
     const auto& ai = a.rowIdx();
     const auto& ax = a.values();
+    aColPtr_ = ap;
+    aRowIdx_ = ai;
+    orderColumns(a);
 
+    const int nnzA = a.nonZeros();
     lp_.assign(n_ + 1, 0);
     up_.assign(n_ + 1, 0);
     pinv_.assign(n_, -1);
@@ -138,10 +304,10 @@ void SparseLu::factor(const SparseMatrixCsc& a, double pivotTol) {
     lx_.clear();
     ui_.clear();
     ux_.clear();
-    li_.reserve(4 * nnzA_);
-    lx_.reserve(4 * nnzA_);
-    ui_.reserve(4 * nnzA_);
-    ux_.reserve(4 * nnzA_);
+    li_.reserve(4 * nnzA);
+    lx_.reserve(4 * nnzA);
+    ui_.reserve(4 * nnzA);
+    ux_.reserve(4 * nnzA);
 
     work_.assign(n_, 0.0);
     visited_.assign(n_, 0);
@@ -149,15 +315,16 @@ void SparseLu::factor(const SparseMatrixCsc& a, double pivotTol) {
     pstack_.resize(n_);
     auto& x = work_;
 
-    for (int col = 0; col < n_; ++col) {
+    for (int k = 0; k < n_; ++k) {
+        const int col = q_[k];
         // --- Symbolic: nodes reachable from the pattern of A(:,col) through L.
         int top = n_;
         for (int p = ap[col]; p < ap[col + 1]; ++p)
             if (!visited_[ai[p]])
                 top = luDfs(ai[p], lp_, li_, pinv_, visited_, xi_, pstack_, top);
 
-        // --- Numeric: scatter A(:,col) and run the sparse triangular solve.
-        for (int p = top; p < n_; ++p) x[xi_[p]] = 0.0;
+        // --- Numeric: scatter A(:,col) and run the sparse triangular solve
+        // (x is all-zero between steps).
         for (int p = ap[col]; p < ap[col + 1]; ++p) x[ai[p]] = ax[p];
         for (int p = top; p < n_; ++p) {
             const int row = xi_[p];
@@ -170,7 +337,7 @@ void SparseLu::factor(const SparseMatrixCsc& a, double pivotTol) {
         }
 
         // --- Pivot selection: largest magnitude among non-pivotal rows, with a
-        // threshold preference for the diagonal.
+        // threshold preference for the diagonal A(col, col).
         int pivotRow = -1;
         double pivotMag = -1.0;
         for (int p = top; p < n_; ++p) {
@@ -193,36 +360,28 @@ void SparseLu::factor(const SparseMatrixCsc& a, double pivotTol) {
         if (pinv_[col] < 0 && std::abs(x[col]) >= pivotTol * pivotMag) pivotRow = col;
         const double pivotValue = x[pivotRow];
 
-        // --- Emit U(:,col): all pivotal rows, then the diagonal last.
+        // --- Emit U(:,k) (pivotal rows, diagonal last) and L(:,k) (unit
+        // diagonal first, then the other non-pivotal rows) in one pass over
+        // the reach, resetting the work arrays for the next step.
+        li_.push_back(pivotRow);
+        lx_.push_back(1.0);
         for (int p = top; p < n_; ++p) {
             const int row = xi_[p];
             if (pinv_[row] >= 0) {
                 ui_.push_back(pinv_[row]);
                 ux_.push_back(x[row]);
-            }
-        }
-        ui_.push_back(col);
-        ux_.push_back(pivotValue);
-        up_[col + 1] = static_cast<int>(ui_.size());
-
-        // --- Emit L(:,col): unit diagonal first, then subdiagonal entries.
-        pinv_[pivotRow] = col;
-        li_.push_back(pivotRow);
-        lx_.push_back(1.0);
-        for (int p = top; p < n_; ++p) {
-            const int row = xi_[p];
-            if (pinv_[row] < 0 && row != pivotRow) {
+            } else if (row != pivotRow) {
                 li_.push_back(row);
                 lx_.push_back(x[row] / pivotValue);
             }
+            visited_[row] = 0;
+            x[row] = 0.0;
         }
-        lp_[col + 1] = static_cast<int>(li_.size());
-
-        // --- Reset work arrays for the next column.
-        for (int p = top; p < n_; ++p) {
-            visited_[xi_[p]] = 0;
-            x[xi_[p]] = 0.0;
-        }
+        ui_.push_back(k);
+        ux_.push_back(pivotValue);
+        up_[k + 1] = static_cast<int>(ui_.size());
+        lp_[k + 1] = static_cast<int>(li_.size());
+        pinv_[pivotRow] = k;
     }
 
     // Remap L's row indices into pivot order so L is genuinely lower triangular.
@@ -231,7 +390,7 @@ void SparseLu::factor(const SparseMatrixCsc& a, double pivotTol) {
 }
 
 bool SparseLu::refactor(const SparseMatrixCsc& a, double pivotFloor) {
-    if (!factored_ || a.rows() != n_ || a.cols() != n_ || a.nonZeros() != nnzA_) {
+    if (!factored_ || a.rows() != n_ || a.colPtr() != aColPtr_ || a.rowIdx() != aRowIdx_) {
         factored_ = false;
         return false;
     }
@@ -240,18 +399,19 @@ bool SparseLu::refactor(const SparseMatrixCsc& a, double pivotFloor) {
     const auto& ax = a.values();
     auto& x = work_;  // all-zero outside active columns (invariant kept below)
 
-    for (int col = 0; col < n_; ++col) {
-        // Scatter A(:,col) in pivot space. Every scattered position lies in
-        // the cached L/U pattern of this column (the pattern is the DFS
-        // closure of A(:,col)), so the reset at the end covers it.
+    for (int k = 0; k < n_; ++k) {
+        // Scatter A(:,q[k]) in pivot space. Every scattered position lies in
+        // the cached L/U pattern of this step (the pattern is the DFS closure
+        // of A(:,q[k])), so the reset at the end covers it.
+        const int col = q_[k];
         for (int p = ap[col]; p < ap[col + 1]; ++p) x[pinv_[ai[p]]] = ax[p];
 
         // Replay the sparse triangular solve in the stored topological order:
-        // U(:,col)'s pivotal rows were emitted exactly in elimination order.
+        // U(:,k)'s pivotal rows were emitted exactly in elimination order.
         // Each x[u] is consumed exactly once and (by the topological order)
-        // never written again this column, so it is re-zeroed on the spot —
+        // never written again this step, so it is re-zeroed on the spot —
         // no separate reset pass over the pattern.
-        for (int j = up_[col]; j < up_[col + 1] - 1; ++j) {
+        for (int j = up_[k]; j < up_[k + 1] - 1; ++j) {
             const int u = ui_[j];
             const double xu = x[u];
             ux_[j] = xu;
@@ -260,13 +420,13 @@ bool SparseLu::refactor(const SparseMatrixCsc& a, double pivotFloor) {
                 for (int q = lp_[u] + 1; q < lp_[u + 1]; ++q) x[li_[q]] -= lx_[q] * xu;
         }
 
-        const double pivot = x[col];
-        x[col] = 0.0;
-        // One fused pass over L(:,col): track the column max for the pivot
+        const double pivot = x[k];
+        x[k] = 0.0;
+        // One fused pass over L(:,k): track the column max for the pivot
         // health check, divide, and re-zero. On pivot failure the half-updated
         // lx_/ux_ values are discarded anyway (factored_ drops below).
         double colMax = std::abs(pivot);
-        for (int q = lp_[col] + 1; q < lp_[col + 1]; ++q) {
+        for (int q = lp_[k] + 1; q < lp_[k + 1]; ++q) {
             const double v = x[li_[q]];
             x[li_[q]] = 0.0;
             colMax = std::max(colMax, std::abs(v));
@@ -282,7 +442,7 @@ bool SparseLu::refactor(const SparseMatrixCsc& a, double pivotFloor) {
             return false;
         }
 
-        ux_[up_[col + 1] - 1] = pivot;
+        ux_[up_[k + 1] - 1] = pivot;
     }
     return true;
 }
@@ -296,23 +456,21 @@ std::vector<double> SparseLu::solve(const std::vector<double>& b) const {
 void SparseLu::solveInto(const std::vector<double>& b, std::vector<double>& x) const {
     if (static_cast<int>(b.size()) != n_) throw std::invalid_argument("SparseLu::solve: size");
     if (!factored_) throw std::runtime_error("SparseLu::solve: not factored");
+    // Solve L*U*z = P*b with z[k] kept in x[q[k]]: since x = Q*z, the result
+    // lands un-permuted and no scratch vector is needed.
     x.resize(n_);
-    for (int i = 0; i < n_; ++i) x[pinv_[i]] = b[i];  // x = P*b
-    // Forward solve L*y = x (unit diagonal stored first in each column).
+    for (int i = 0; i < n_; ++i) x[q_[pinv_[i]]] = b[i];
+    // Forward solve (unit diagonal stored first in each L column).
     for (int c = 0; c < n_; ++c) {
-        const double xc = x[c];
-        for (int p = lp_[c] + 1; p < lp_[c + 1]; ++p) x[li_[p]] -= lx_[p] * xc;
+        const double xc = x[q_[c]];
+        for (int p = lp_[c] + 1; p < lp_[c + 1]; ++p) x[q_[li_[p]]] -= lx_[p] * xc;
     }
-    // Back solve U*z = y (diagonal stored last in each column).
+    // Back solve (diagonal stored last in each U column).
     for (int c = n_ - 1; c >= 0; --c) {
-        x[c] /= ux_[up_[c + 1] - 1];
-        const double xc = x[c];
-        for (int p = up_[c]; p < up_[c + 1] - 1; ++p) x[ui_[p]] -= ux_[p] * xc;
+        x[q_[c]] /= ux_[up_[c + 1] - 1];
+        const double xc = x[q_[c]];
+        for (int p = up_[c]; p < up_[c + 1] - 1; ++p) x[q_[ui_[p]]] -= ux_[p] * xc;
     }
-}
-
-int SparseLu::fillIn() const {
-    return static_cast<int>(li_.size() + ui_.size()) - nnzA_;
 }
 
 }  // namespace fetcam::numeric

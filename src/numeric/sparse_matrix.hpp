@@ -1,12 +1,13 @@
 // Sparse matrices in compressed-sparse-column form plus a left-looking
-// (Gilbert-Peierls) LU factorization with threshold partial pivoting.
+// (Gilbert-Peierls) LU factorization with a minimum-degree column order and
+// threshold partial pivoting.
 //
 // This is the workhorse linear solver behind the MNA circuit engine. The
 // nonzero pattern of a circuit's Jacobian is fixed across Newton iterations,
 // so the engine freezes the CSC pattern after the first assembly (stamping
 // values in place from then on — see spice::Mna) and splits the LU into a
 // one-time symbolic analysis plus cheap numeric refactorizations that follow
-// the cached nonzero pattern and pivot order (KLU-style reuse).
+// the cached column order, nonzero pattern and pivot order (KLU-style reuse).
 #pragma once
 
 #include <algorithm>
@@ -87,19 +88,25 @@ private:
     std::vector<double> values_;
 };
 
-/// Sparse LU with threshold partial pivoting (left-looking Gilbert-Peierls).
+/// Sparse LU with a fill-reducing column order and threshold partial
+/// pivoting (left-looking Gilbert-Peierls).
 ///
-/// Factors P*A = L*U with a row permutation chosen per column: the diagonal
-/// entry is kept as the pivot whenever its magnitude is within `pivotTol` of
-/// the column maximum, which preserves the (mostly) diagonally dominant
-/// structure of MNA matrices and limits fill-in.
+/// Factors P*A*Q = L*U. Q is a minimum-degree order of the pattern of A+A^T,
+/// a pure function of that pattern (deterministic tie-breaks): an MNA matrix
+/// has hub unknowns — a matchline touching every cell, a supply rail — and
+/// factoring a hub column early fills L and U densely, while eliminating it
+/// last costs almost nothing. P is chosen
+/// column by column: the diagonal entry A(q[k], q[k]) is kept as the pivot
+/// whenever its magnitude is within `pivotTol` of the column maximum, which
+/// preserves the (mostly) diagonally dominant structure of MNA matrices.
 ///
-/// factor() performs the full symbolic + numeric work and caches the L/U
-/// nonzero pattern and pivot order. refactor() redoes only the numeric part
-/// for a matrix with the SAME sparsity pattern, following the cached pattern
-/// and pivots — no DFS, no pivot search, no allocation. A refactorization
-/// that encounters a collapsed pivot returns false; call factor() again to
-/// recover (fresh pivoting).
+/// factor() performs the ordering plus the full symbolic + numeric work and
+/// caches the column order, the L/U nonzero pattern and the pivot order.
+/// refactor() redoes only the numeric part for a matrix with the SAME
+/// sparsity pattern, following the cached pattern and pivots — no ordering,
+/// no DFS, no pivot search, no allocation. A refactorization that encounters
+/// a collapsed pivot returns false; call factor() again to recover (fresh
+/// pivoting).
 class SparseLu {
 public:
     SparseLu() = default;
@@ -110,12 +117,12 @@ public:
     /// factorization is then unusable until a factor() succeeds).
     void factor(const SparseMatrixCsc& a, double pivotTol = 0.1);
 
-    /// Numeric-only refactorization of a matrix with the same pattern as the
-    /// last successful factor(). Returns false — leaving the factorization
-    /// unusable until the next successful factor() — when the pattern doesn't
-    /// match, or a pivot falls below `pivotFloor` times its column maximum
-    /// (or is zero / non-finite): the cached pivot order has degraded and a
-    /// fresh pivoting factorization is required.
+    /// Numeric-only refactorization of a matrix with the same pattern (colPtr
+    /// and rowIdx) as the last successful factor(). Returns false — leaving
+    /// the factorization unusable until the next successful factor() — when
+    /// the pattern doesn't match, or a pivot falls below `pivotFloor` times
+    /// its column maximum (or is zero / non-finite): the cached pivot order
+    /// has degraded and a fresh pivoting factorization is required.
     bool refactor(const SparseMatrixCsc& a, double pivotFloor = 1e-10);
 
     bool factored() const { return factored_; }
@@ -125,24 +132,32 @@ public:
     void solveInto(const std::vector<double>& b, std::vector<double>& x) const;
 
     int size() const { return n_; }
-    int fillIn() const;  ///< nnz(L)+nnz(U) - nnz(A)
+    /// nnz(L)+nnz(U), both diagonals included.
+    int nonZeros() const { return static_cast<int>(li_.size() + ui_.size()); }
+    int fillIn() const { return nonZeros() - static_cast<int>(aRowIdx_.size()); }
 
 private:
+    void orderColumns(const SparseMatrixCsc& a);
+
     int n_ = 0;
-    int nnzA_ = 0;
     bool factored_ = false;
+    // Pattern of the last factor()ed A; refactor() accepts only this pattern.
+    std::vector<int> aColPtr_, aRowIdx_;
+    std::vector<int> q_;  // pivot step -> column of A (the fill-reducing order)
     // L: unit lower triangular (diagonal stored explicitly as 1.0, first in column).
     std::vector<int> lp_, li_;
     std::vector<double> lx_;
     // U: upper triangular (diagonal stored last in column).
     std::vector<int> up_, ui_;
     std::vector<double> ux_;
-    std::vector<int> pinv_;  // row -> pivot position
+    std::vector<int> pinv_;  // row of A -> pivot step
 
     // Reused numeric scratch (kept zero outside active columns).
     std::vector<double> work_;
     std::vector<char> visited_;
     std::vector<int> xi_, pstack_;
+    // Minimum-degree scratch (see orderColumns).
+    std::vector<int> mdList_, mdWork_;
 };
 
 }  // namespace fetcam::numeric

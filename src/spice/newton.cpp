@@ -96,6 +96,10 @@ NewtonResult solveNewton(const Circuit& circuit, const SimContext& ctx, std::vec
                 workspace.lu().factor(matrix);
                 workspace.noteFactored();
                 ++result.factorizations;
+                if (obsOn) {
+                    static obs::Gauge& luNonZeros = obs::gauge("spice.lu.nonzeros");
+                    luNonZeros.set(workspace.lu().nonZeros());
+                }
             }
             workspace.lu().solveInto(mna.rhs(), xNew);
         } catch (const std::runtime_error&) {

@@ -5,6 +5,7 @@
 #include "array/energy_model.hpp"
 #include "array/montecarlo.hpp"
 #include "array/word_sim.hpp"
+#include "obs/obs.hpp"
 #include "recover/sim_error.hpp"
 
 using namespace fetcam;
@@ -107,6 +108,20 @@ TEST(WordSim, FeFetBeatsCmosOnSearchEnergy) {
     const auto cmos = simulateWordSearch(makeOptions(CellKind::Cmos16T,
                                                      SenseScheme::FullSwing, 16, 1));
     EXPECT_LT(fefet.energyTotal, cmos.energyTotal);
+}
+
+// The matchline couples to every cell, so a column order that factors it
+// early fills L+U with ~44,500 nonzeros at 64 bits (A holds 1,071); the
+// minimum-degree order keeps the factor within a small multiple of A.
+TEST(WordSim, SparseLuFillStaysNearMatrixSize) {
+    obs::setEnabled(true);
+    obs::gauge("spice.lu.nonzeros").reset();
+    const auto r = simulateWordSearch(makeOptions(CellKind::FeFet2, SenseScheme::LowSwing, 64, 1));
+    obs::setEnabled(false);
+    EXPECT_FALSE(r.matchDetected);
+    const double nonZeros = obs::gauge("spice.lu.nonzeros").value();
+    EXPECT_GT(nonZeros, 0.0);
+    EXPECT_LT(nonZeros, 4000.0);
 }
 
 TEST(WordSim, ValidatesInputs) {

@@ -189,7 +189,84 @@ TEST_P(SparseLuProperty, MatchesDense) {
                                             xd[static_cast<std::size_t>(i)], 1e-8);
 }
 
+// Property: an MNA-shaped system — a node block with a hub node coupled to
+// every third node (a matchline), plus voltage-source branch rows whose
+// diagonal is structurally zero — solves like dense LU. Minimum degree
+// orders the low-degree branch columns first, so their pivots come from the
+// node rows.
+TEST_P(SparseLuProperty, MnaWithVoltageSourcesMatchesDense) {
+    num::Rng rng(300 + static_cast<std::uint64_t>(GetParam()));
+    const int nodes = 8 + GetParam() * 7 % 50;
+    const int sources = 1 + GetParam() % 4;
+    const int n = nodes + sources;
+    num::TripletList t(n, n);
+    num::DenseMatrix d(n, n);
+    const auto add = [&](int r, int c, double v) {
+        t.add(r, c, v);
+        d(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
+    };
+    const auto conductance = [&](int a, int b, double g) {
+        add(a, a, g);
+        add(b, b, g);
+        add(a, b, -g);
+        add(b, a, -g);
+    };
+    for (int i = 0; i < nodes; ++i) {
+        add(i, i, rng.uniform(1e-3, 1e-2));  // leak to ground
+        if (i + 1 < nodes) conductance(i, i + 1, rng.uniform(0.1, 1.0));
+        if (i % 3 == 0 && i != 0) conductance(0, i, rng.uniform(0.1, 1.0));
+    }
+    // Source s drives node 1+s against ground, or against the last node
+    // (never itself driven), so the branch columns stay independent.
+    for (int s = 0; s < sources; ++s) {
+        const int br = nodes + s;
+        const int pos = 1 + s;
+        add(pos, br, 1.0);
+        add(br, pos, 1.0);
+        if (s % 2 == 1) {
+            add(nodes - 1, br, -1.0);
+            add(br, nodes - 1, -1.0);
+        }
+    }
+    std::vector<double> b(static_cast<std::size_t>(n));
+    for (auto& v : b) v = rng.uniform(-3.0, 3.0);
+
+    num::SparseLu slu(num::SparseMatrixCsc::fromTriplets(t));
+    const auto xs = slu.solve(b);
+    const auto xd = num::solveDense(d, b);
+    for (int i = 0; i < n; ++i) EXPECT_NEAR(xs[static_cast<std::size_t>(i)],
+                                            xd[static_cast<std::size_t>(i)], 1e-8);
+}
+
 INSTANTIATE_TEST_SUITE_P(Random, SparseLuProperty, ::testing::Range(0, 16));
+
+// An arrow matrix with its hub in column 0: factored in natural order the hub
+// fills L and U completely (O(n^2)); the minimum-degree order eliminates it
+// last, so no fill beyond the double-counted diagonal.
+TEST(SparseLu, ArrowMatrixHubFactorsWithoutFill) {
+    const int n = 200;
+    num::TripletList t(n, n);
+    num::DenseMatrix d(n, n);
+    const auto add = [&](int r, int c, double v) {
+        t.add(r, c, v);
+        d(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
+    };
+    add(0, 0, 4.0 * n);
+    for (int j = 1; j < n; ++j) {
+        add(0, j, 1.0);
+        add(j, 0, -1.0);
+        add(j, j, 2.0 + j % 5);
+    }
+    num::SparseLu lu(num::SparseMatrixCsc::fromTriplets(t));
+    EXPECT_LE(lu.fillIn(), n);
+
+    std::vector<double> b(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) b[static_cast<std::size_t>(i)] = 1.0 + i % 7;
+    const auto xs = lu.solve(b);
+    const auto xd = num::solveDense(d, b);
+    for (int i = 0; i < n; ++i) EXPECT_NEAR(xs[static_cast<std::size_t>(i)],
+                                            xd[static_cast<std::size_t>(i)], 1e-10);
+}
 
 namespace {
 
@@ -300,6 +377,47 @@ TEST(SparseLu, RefactorRejectsPatternMismatch) {
     num::SparseLu lu(num::SparseMatrixCsc::fromTriplets(t));
     t.add(0, 1, 0.5);  // different nonzero count
     EXPECT_FALSE(lu.refactor(num::SparseMatrixCsc::fromTriplets(t)));
+}
+
+TEST(SparseLu, RefactorRejectsSamePatternSizeDifferentPattern) {
+    // [[2,0],[1,3]] and [[2,1],[0,3]] both hold three nonzeros; following
+    // the first one's factorization with the second one's values would solve
+    // the wrong system (x = (1.5, 1) for b = (3, 3)).
+    num::TripletList t(2, 2);
+    t.add(0, 0, 2.0);
+    t.add(1, 0, 1.0);
+    t.add(1, 1, 3.0);
+    num::SparseLu lu(num::SparseMatrixCsc::fromTriplets(t));
+    num::TripletList u(2, 2);
+    u.add(0, 0, 2.0);
+    u.add(0, 1, 1.0);
+    u.add(1, 1, 3.0);
+    const auto m = num::SparseMatrixCsc::fromTriplets(u);
+    EXPECT_FALSE(lu.refactor(m));
+    EXPECT_FALSE(lu.factored());
+
+    lu.factor(m);
+    const auto x = lu.solve({3.0, 3.0});
+    EXPECT_NEAR(x[0], 1.0, 1e-14);
+    EXPECT_NEAR(x[1], 1.0, 1e-14);
+}
+
+// The column order is a pure function of the pattern, so factoring the same
+// matrix twice — on one reused object, after an unrelated factorization, or
+// on a fresh object — gives bit-identical solves.
+TEST(SparseLu, RepeatedFactorIsBitIdentical) {
+    num::Rng rng(77);
+    const auto m = num::SparseMatrixCsc::fromTriplets(mnaLikeTriplets(150, rng));
+    const auto other = num::SparseMatrixCsc::fromTriplets(mnaLikeTriplets(90, rng));
+    std::vector<double> b(150);
+    for (auto& v : b) v = rng.uniform(-3.0, 3.0);
+
+    num::SparseLu lu(m);
+    const auto first = lu.solve(b);
+    lu.factor(other);
+    lu.factor(m);
+    EXPECT_EQ(lu.solve(b), first);
+    EXPECT_EQ(num::SparseLu(m).solve(b), first);
 }
 
 TEST(Rng, ForStreamIsOrderIndependent) {
