@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "net/server.hpp"
 #include "obs/obs.hpp"
 #include "recover/fault_injection.hpp"
 #include "recover/sim_error.hpp"
@@ -217,17 +218,17 @@ ClientResult Client::nextFrame(double timeout, MsgType& type) {
             result.message = "connection closed";
             return result;
         }
-        const double wait = deadline - obs::monotonicSeconds();
-        if (wait <= 0.0) {
+        const double now = obs::monotonicSeconds();
+        if (now >= deadline) {
             result.timedOut = true;
             result.message = "timed out waiting for a reply";
             return result;
         }
         pollfd p{fd_, POLLIN, 0};
-        const int rc = ::poll(&p, 1, static_cast<int>(wait * 1e3) + 1);
+        const int rc = pollUntil(&p, 1, now, deadline);
         if (rc < 0 && errno != EINTR)
             throw SimError(SimErrorReason::IoError, "net::Client",
-                           "poll failed: " + std::string(std::strerror(errno)));
+                           "ppoll failed: " + std::string(std::strerror(errno)));
         if (rc <= 0) continue;
         char buf[16384];
         const auto n = ::recv(fd_, buf, sizeof buf, 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <sstream>
@@ -11,7 +12,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -42,7 +43,56 @@ void stopSignalHandler(int) {
     if (gSignalTarget) gSignalTarget->requestStop();
 }
 
+/// Holds the calling thread's timer slack at 1 ns, so a ppoll(2) timeout
+/// ends on time instead of up to the default 50 µs late, and restores the
+/// caller's slack when the scope ends.
+class TightTimerSlack {
+public:
+    TightTimerSlack() : saved_(::prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL)) {
+        if (saved_ > 0) ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+    }
+    ~TightTimerSlack() {
+        if (saved_ > 0)
+            ::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(saved_), 0UL, 0UL, 0UL);
+    }
+    TightTimerSlack(const TightTimerSlack&) = delete;
+    TightTimerSlack& operator=(const TightTimerSlack&) = delete;
+
+private:
+    int saved_;
+};
+
 }  // namespace
+
+double nextWake(double now, const LoopDeadlines& deadlines, const ServerOptions& options) {
+    double next = now + 0.1;  // idle heartbeat
+    if (deadlines.oldestArrival)
+        next = std::min(next, *deadlines.oldestArrival + options.coalesceWindow);
+    if (deadlines.oldestMidFrame)
+        next = std::min(next, *deadlines.oldestMidFrame + options.readTimeout);
+    if (deadlines.drainStart)
+        next = std::min(next, *deadlines.drainStart + options.drainTimeout);
+    return next;
+}
+
+timespec waitTimeout(double now, double deadline) {
+    constexpr long kNanosPerSecond = 1'000'000'000L;
+    timespec timeout{};
+    const double wait = std::min(deadline - now, 1.0);
+    if (!(wait > 0.0)) return timeout;
+    // wait * 1e9 may itself round down; step up until the timeout covers
+    // the whole wait, so the loop never wakes to a deadline still ahead.
+    auto nanos = static_cast<long>(std::ceil(wait * 1e9));
+    while (static_cast<double>(nanos) * 1e-9 < wait) ++nanos;
+    timeout.tv_sec = nanos / kNanosPerSecond;
+    timeout.tv_nsec = nanos % kNanosPerSecond;
+    return timeout;
+}
+
+int pollUntil(pollfd* fds, nfds_t count, double now, double deadline) {
+    const timespec timeout = waitTimeout(now, deadline);
+    return ::ppoll(fds, count, &timeout, nullptr);
+}
 
 Server::Server(serve::QueryEngine& engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)) {
@@ -548,16 +598,15 @@ void Server::checkReadTimeouts(double now) {
                   "stalled mid-frame past the read timeout");
 }
 
-int Server::pollTimeoutMillis(double now) const {
-    double next = now + 0.1;  // idle heartbeat
-    if (!pending_.empty())
-        next = std::min(next, pending_.front().arrival + options_.coalesceWindow);
+LoopDeadlines Server::loopDeadlines() const {
+    LoopDeadlines deadlines;
+    if (!pending_.empty()) deadlines.oldestArrival = pending_.front().arrival;
     for (const auto& [fd, conn] : conns_)
         if (!conn.readBuf.empty())
-            next = std::min(next, conn.lastActivity + options_.readTimeout);
-    if (draining_) next = std::min(next, drainStart_ + options_.drainTimeout);
-    const double wait = std::max(0.0, next - now);
-    return static_cast<int>(std::min(wait * 1e3, 1000.0)) + (wait > 0.0 ? 1 : 0);
+            deadlines.oldestMidFrame =
+                std::min(deadlines.oldestMidFrame.value_or(conn.lastActivity), conn.lastActivity);
+    if (draining_) deadlines.drainStart = drainStart_;
+    return deadlines;
 }
 
 bool Server::drainComplete() const {
@@ -570,6 +619,7 @@ bool Server::drainComplete() const {
 void Server::run() {
     if (listenFd_ < 0)
         throw SimError(SimErrorReason::InvalidSpec, "net::Server", "run() before start()");
+    const TightTimerSlack slack;
     std::vector<pollfd> fds;
     while (true) {
         fds.clear();
@@ -582,14 +632,21 @@ void Server::run() {
             if (events) fds.push_back({fd, events, 0});
         }
 
-        double now = obs::monotonicSeconds();
-        const int rc = ::poll(fds.data(), fds.size(), pollTimeoutMillis(now));
+        const double before = obs::monotonicSeconds();
+        const double wake = nextWake(before, loopDeadlines(), options_);
+        const int rc = pollUntil(fds.data(), fds.size(), before, wake);
         if (rc < 0) {
             if (errno == EINTR) continue;
             throw SimError(SimErrorReason::IoError, "net::Server",
-                           "poll failed: " + std::string(std::strerror(errno)));
+                           "ppoll failed: " + std::string(std::strerror(errno)));
         }
-        now = obs::monotonicSeconds();
+        const double now = obs::monotonicSeconds();
+        if (obs::enabled() && wake > before && now >= wake) {
+            // How late the loop woke past the deadline it slept toward.
+            static obs::Histogram& oversleep = obs::histogram(
+                "net.loop.oversleep.seconds", obs::Histogram::exponentialBounds(1e-9, 1.0, 10));
+            oversleep.observe(now - wake);
+        }
 
         for (const auto& p : fds) {
             if (p.revents == 0) continue;

@@ -1,6 +1,6 @@
 // fetcam::net::Server — deadline-aware TCP front-end for serve::QueryEngine.
 //
-// A zero-dependency, single-threaded poll(2) event loop (parallelism lives
+// A zero-dependency, single-threaded ppoll(2) event loop (parallelism lives
 // inside the engine's worker team, where it already is) that:
 //
 //   * accepts connections and greets each with a Hello frame carrying the
@@ -35,18 +35,32 @@
 //     in flight (executing what still meets its deadline), flush write
 //     buffers, then return from run() with deterministic final accounting.
 //
+// Timing: each loop iteration sleeps until one absolute deadline, the
+// earliest of the coalesce flush, the mid-frame read timeout, the drain
+// bound and a 0.1 s heartbeat (nextWake). The wait goes to ppoll(2) rounded
+// *up* to the nanosecond (waitTimeout), and run() holds the loop thread's
+// timer slack at 1 ns, so a partial batch flushes within microseconds of
+// its coalesce window instead of the whole milliseconds a poll(2) timeout
+// rounds to.
+//
 // obs metrics (when obs::enabled()): net.connections.accepted/.dropped,
 // net.frames.in/.out, net.queries, net.hits, net.shed,
-// net.deadline_expired, net.proto_errors, net.batches counters and a
-// net.request.seconds histogram (receipt -> reply queued).
+// net.deadline_expired, net.proto_errors, net.batches counters, a
+// net.request.seconds histogram (receipt -> reply queued) and a
+// net.loop.oversleep.seconds histogram (how late the loop woke past the
+// deadline it slept toward).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <ctime>
 #include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include <poll.h>
 
 #include "net/protocol.hpp"
 #include "serve/query_engine.hpp"
@@ -73,8 +87,34 @@ struct ServerOptions {
     /// Hard cap on the graceful-drain phase [s].
     double drainTimeout = 5.0;
     /// Worker count handed to the engine per batch (0 = process default).
+    /// The engine splits a batch into tiles of EngineOptions::batchSize
+    /// (4096) queries and gives each worker whole tiles. A coalesced batch
+    /// is at most maxBatch queries (4096 by default), so it is one tile and
+    /// runs on the loop thread alone; jobs only splits larger batches.
     int jobs = 0;
 };
+
+/// What the event loop waits on, as absolute obs::monotonicSeconds() times.
+struct LoopDeadlines {
+    std::optional<double> oldestArrival;   ///< front of the coalesce queue
+    std::optional<double> oldestMidFrame;  ///< earliest last read of a peer mid-frame
+    std::optional<double> drainStart;      ///< set while draining
+};
+
+/// Absolute time the event loop next wakes: the earliest of the coalesce
+/// flush (oldestArrival + coalesceWindow), the read timeout
+/// (oldestMidFrame + readTimeout), the drain bound (drainStart +
+/// drainTimeout) and the idle heartbeat (now + 0.1 s).
+double nextWake(double now, const LoopDeadlines& deadlines, const ServerOptions& options);
+
+/// The wait from `now` until `deadline` as a ppoll(2) timeout: rounded up
+/// to the nanosecond, so a wait never ends before its deadline; zero once
+/// the deadline has passed; capped at 1 s.
+timespec waitTimeout(double now, double deadline);
+
+/// ppoll(2) on `fds` until `deadline` (absolute, see waitTimeout); returns
+/// what ppoll returns. The one deadline wait of net::Server and net::Client.
+int pollUntil(pollfd* fds, nfds_t count, double now, double deadline);
 
 /// Deterministic request/shed/error accounting (no wall-clock anywhere), so
 /// CI can assert every query is accounted for: queries ==
@@ -123,7 +163,9 @@ public:
 
     /// Event loop; returns after requestStop() completes the graceful drain.
     /// Throws SimError(IoError) only for unrecoverable listener/poll
-    /// failures — per-connection trouble is handled and counted.
+    /// failures — per-connection trouble is handled and counted. Holds the
+    /// calling thread's timer slack at 1 ns while it runs and restores the
+    /// caller's value on return.
     void run();
 
     /// Begin graceful drain. Async-signal-safe (one write(2) to a pipe);
@@ -173,7 +215,7 @@ private:
     void dropConn(int fd, bool countDropped);
     void executeBatch(double now);
     void checkReadTimeouts(double now);
-    int pollTimeoutMillis(double now) const;
+    LoopDeadlines loopDeadlines() const;
     bool drainComplete() const;
     void noteError(ProtoError code);
 

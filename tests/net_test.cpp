@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -753,6 +755,92 @@ TEST(NetServer, RejectsInvalidOptions) {
     opts.host = "not-an-address";
     net::Server bad(engine, opts);
     EXPECT_THROW(bad.start(), recover::SimError);
+}
+
+// --- event-loop timing (pure functions, no clock) ---------------------------
+
+namespace {
+
+double timeoutSeconds(const timespec& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_nsec) * 1e-9;
+}
+
+}  // namespace
+
+TEST(NetLoopTiming, SubMillisecondWaitIsNotRoundedToAMillisecond) {
+    const timespec t = net::waitTimeout(100.0, 100.0002);
+    EXPECT_EQ(t.tv_sec, 0);
+    EXPECT_GE(t.tv_nsec, 200'000);  // 200 µs ...
+    EXPECT_LE(t.tv_nsec, 200'001);  // ... not the 1 ms poll(2) would sleep
+}
+
+TEST(NetLoopTiming, TimeoutNeverShorterThanTheWait) {
+    // A timeout short of the wait would wake the loop with the coalesce
+    // window still open, and it would spin until the window closed.
+    std::mt19937_64 rng(17);
+    std::uniform_real_distribution<double> start(1.0, 1e6);
+    std::uniform_real_distribution<double> exponent(-9.0, 0.0);
+    for (int i = 0; i < 100'000; ++i) {
+        const double now = start(rng);
+        const double deadline = now + std::pow(10.0, exponent(rng));
+        const double wait = deadline - now;
+        const timespec t = net::waitTimeout(now, deadline);
+        ASSERT_GE(t.tv_nsec, 0);
+        ASSERT_LT(t.tv_nsec, 1'000'000'000L);
+        ASSERT_GE(timeoutSeconds(t), wait) << "now " << now << " deadline " << deadline;
+        ASSERT_LE(timeoutSeconds(t), wait + 2e-9) << "now " << now << " deadline " << deadline;
+    }
+}
+
+TEST(NetLoopTiming, PassedDeadlineGivesZero) {
+    for (const double deadline : {100.0, 99.9999, 0.0}) {
+        const timespec t = net::waitTimeout(100.0, deadline);
+        EXPECT_EQ(t.tv_sec, 0);
+        EXPECT_EQ(t.tv_nsec, 0);
+    }
+}
+
+TEST(NetLoopTiming, LongWaitCappedAtOneSecond) {
+    for (const double wait : {1.0, 5.0, 3600.0}) {
+        const timespec t = net::waitTimeout(100.0, 100.0 + wait);
+        EXPECT_EQ(t.tv_sec, 1);
+        EXPECT_EQ(t.tv_nsec, 0);
+    }
+}
+
+TEST(NetLoopTiming, EarliestDeadlineWins) {
+    net::ServerOptions opts;
+    opts.coalesceWindow = 0.5e-3;
+    opts.readTimeout = 5.0;
+    opts.drainTimeout = 2.0;
+    const double now = 100.0;
+    net::LoopDeadlines d;
+    EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 100.1);  // heartbeat alone
+
+    net::LoopDeadlines coalesce;
+    coalesce.oldestArrival = 99.9999;
+    EXPECT_DOUBLE_EQ(net::nextWake(now, coalesce, opts), 99.9999 + 0.5e-3);
+
+    net::LoopDeadlines read;
+    read.oldestMidFrame = 95.05;
+    EXPECT_DOUBLE_EQ(net::nextWake(now, read, opts), 95.05 + 5.0);
+
+    net::LoopDeadlines drain;
+    drain.drainStart = 98.02;
+    EXPECT_DOUBLE_EQ(net::nextWake(now, drain, opts), 98.02 + 2.0);
+
+    // All four armed: the earliest one wins, whichever term it is.
+    d.oldestArrival = 99.9999;
+    d.oldestMidFrame = 95.05;
+    d.drainStart = 98.02;
+    EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 99.9999 + 0.5e-3);
+    d.oldestArrival = 100.05;
+    EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 98.02 + 2.0);
+    d.drainStart = 98.2;
+    EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 95.05 + 5.0);
+    d.oldestMidFrame = 96.0;
+    d.oldestArrival = 100.5;
+    EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 100.1);
 }
 
 // --- table mutation over the wire (protocol v2) ----------------------------

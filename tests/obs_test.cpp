@@ -95,7 +95,7 @@ TEST(Metrics, ScopedTimerAccumulates) {
         obs::ScopedTimer timer(h, accum);
         // Burn a little time so elapsed is strictly positive.
         volatile double x = 0.0;
-        for (int i = 0; i < 1000; ++i) x += static_cast<double>(i);
+        for (int i = 0; i < 1000; ++i) x = x + static_cast<double>(i);
         EXPECT_GE(timer.elapsed(), 0.0);
     }
     EXPECT_EQ(h.count(), 1);

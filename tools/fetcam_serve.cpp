@@ -60,6 +60,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fetcam.hpp"
@@ -468,7 +469,6 @@ void writeListenJson(const std::string& path, const net::Server& server,
     const auto es = engine.stats();
     const auto cs = cache.stats();
     const auto ss = cache.storeStatus();
-    const auto& qw = obs::histogram("serve.admission.queue_wait");
     os << "{\n  \"tool\": \"fetcam_serve\",\n  \"mode\": \"listen\",\n";
     // Deterministic = pure accounting, no wall-clock: CI asserts the
     // invariant queries == hits + misses + shedQueries + expiredQueries and
@@ -488,10 +488,15 @@ void writeListenJson(const std::string& path, const net::Server& server,
     os << "    \"energyPerQueryJ\": " << engine.energyPerQuery()
        << ",\n    \"latencyS\": " << engine.queryLatency() << "\n  },\n";
     os << "  \"volatile\": {\n";
-    os << "    \"queueWait\": {\"count\": " << qw.count() << ", \"meanSeconds\": "
-       << (qw.count() > 0 ? qw.mean() : 0.0)
-       << ", \"p50\": " << (qw.count() > 0 ? obs::quantile(qw, 0.5) : 0.0)
-       << ", \"p99\": " << (qw.count() > 0 ? obs::quantile(qw, 0.99) : 0.0) << "},\n";
+    for (const auto& [key, name] :
+         {std::pair{"queueWait", "serve.admission.queue_wait"},
+          std::pair{"loopOversleep", "net.loop.oversleep.seconds"}}) {
+        const auto& h = obs::histogram(name);
+        os << "    \"" << key << "\": {\"count\": " << h.count() << ", \"meanSeconds\": "
+           << (h.count() > 0 ? h.mean() : 0.0)
+           << ", \"p50\": " << (h.count() > 0 ? obs::quantile(h, 0.5) : 0.0)
+           << ", \"p99\": " << (h.count() > 0 ? obs::quantile(h, 0.99) : 0.0) << "},\n";
+    }
     os << "    \"cache\": {\"entries\": " << cs.entries << ", \"hits\": " << cs.hits
        << ", \"misses\": " << cs.misses << "},\n";
     os << "    \"store\": {\"attached\": " << (ss.attached ? "true" : "false")
@@ -507,7 +512,8 @@ void writeListenJson(const std::string& path, const net::Server& server,
 }
 
 int runListen(const Args& a, const std::shared_ptr<serve::CharacterizationCache>& cache) {
-    // The queue-wait histogram and net.* counters live behind obs::enabled().
+    // The queue-wait and loop-oversleep histograms and net.* counters live
+    // behind obs::enabled().
     obs::setEnabled(true);
 
     serve::EngineOptions base = baseOptions(a);
