@@ -1,7 +1,7 @@
 // MATCH — bit-parallel functional-match microbenchmarks: the serve hot path
 // isolated from characterization, batching and threading. One shard's worth
 // of ternary entries is scanned by the scalar row-at-a-time oracle and by
-// the bit-plane backend (value/care planes, 64 entries per machine word),
+// the bit-plane backend (kill planes, a 1024-row group per key bit),
 // single-threaded, and the bench fails hard if the two ever disagree on a
 // priority row or a mismatch count, or if the bit-plane path is slower than
 // the scalar baseline.

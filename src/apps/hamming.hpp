@@ -10,8 +10,8 @@
 //
 // Distances ride the same bit-plane kernel as the serving hot path: rows
 // pack into tcam::TernaryPlanes and all per-row mismatch counts come from
-// one bit-sliced XOR+mask+popcount pass (64 rows per machine word) instead
-// of a trit-by-trit walk — bit-identical to TernaryWord::mismatchCount by
+// one bit-sliced ripple-carry pass over the key's kill planes instead of a
+// trit-by-trit walk — bit-identical to TernaryWord::mismatchCount by
 // the planes' contract (cross-checked in apps_test).
 #pragma once
 

@@ -8,8 +8,8 @@
 //   * Scalar   — the original row-at-a-time scan over
 //                std::vector<std::optional<TernaryWord>>. Slow, obviously
 //                correct: it is the cross-check oracle.
-//   * BitPlane — tcam::TernaryPlanes value/care bit-slices, 64 entries per
-//                machine word per operation (default).
+//   * BitPlane — tcam::TernaryPlanes per-search-line kill planes, one
+//                1024-row group per key bit (default).
 //   * Checked  — runs both on every call and throws on any divergence; what
 //                the differential tests and the paranoid deployment flag use.
 //
@@ -36,7 +36,7 @@ namespace fetcam::serve {
 
 enum class MatchBackendKind {
     Scalar,    ///< row-at-a-time oracle
-    BitPlane,  ///< value/care bit-planes, 64 rows per word (default)
+    BitPlane,  ///< kill bit-planes, 1024-row groups per key bit (default)
     Checked,   ///< both, cross-asserted per call
 };
 
@@ -46,9 +46,9 @@ const char* backendName(MatchBackendKind kind) noexcept;
 /// Parse a --backend value; throws recover::SimError(InvalidSpec) on others.
 MatchBackendKind parseBackendKind(const std::string& name);
 
-/// A key prepared once per batch: the word itself (scalar path) plus its
-/// definite-bit slices (bit-plane path). Holds a pointer — the key must
-/// outlive the PreparedKey, which batch loops guarantee.
+/// A key prepared once per batch: the word itself (scalar path) plus the
+/// kill planes its definite bits select (bit-plane path). Holds a pointer —
+/// the key must outlive the PreparedKey, which batch loops guarantee.
 struct PreparedKey {
     const tcam::TernaryWord* word = nullptr;
     tcam::KeySlices slices;

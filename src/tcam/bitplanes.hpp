@@ -1,29 +1,35 @@
 // Bit-plane (bit-sliced) storage for ternary match: the software analogue of
-// the hardware TCAM's column-parallel search, and of the LUT-RAM match-vector
-// decomposition (per key slice, AND a per-entry match vector).
+// the hardware TCAM's column-parallel search.
 //
-// Instead of one TernaryWord per row (a heap vector of trits walked one trit
-// at a time), rows pack *vertically*: for every key-bit position b the set
-// keeps two 64-bit planes over a block of 64 rows —
+// Rows pack *vertically*. A 2FeFET cell has two search lines per bit; a
+// search drives the one for the key's value, and exactly the cells storing
+// the other definite value discharge the match line. The set keeps that
+// discharge set directly, one "kill" plane per (bit position b, search
+// value k):
 //
-//   value[b]  bit r set  =>  row r stores One at position b
-//   care[b]   bit r set  =>  row r is definite (0/1, not X) at position b
+//   kill[2b + k]  bit r set  =>  row r stores a definite !k at position b
 //
-// plus one occupancy plane per block (bit r set => row r holds an entry).
-// A search then visits only the key's *definite* bits and performs, per
-// 64-row block, one AND-NOT per bit:
+// so a stored X sets neither plane and a definite trit sets exactly one. A
+// search visits only the key's definite bits and clears, per bit, the rows
+// that bit kills:
 //
-//   match &= ~(care[b] & (value[b] ^ broadcast(key[b])))
+//   survivors &= ~kill[2b + key[b]]
 //
-// which clears exactly the rows that are definite at b and differ from the
-// key — stored X rows keep matching (care bit 0), key X bits are skipped
-// entirely. 64+ entries advance per machine word per operation, and the
-// priority winner inside a block is count-trailing-zeros of the surviving
-// vector. mismatchCounts() reuses the same planes with a bit-sliced
-// ripple-carry accumulation (XOR+mask per bit, popcount-style vertical
-// counters), which is what the Hamming / nearest-neighbour workloads ride.
+// Key X bits are skipped entirely. Planes are laid out bit-major within each
+// 1024-row group (16 blocks of 64 rows, one engine chunk): a plane's 16
+// words are contiguous, so one key bit clears a whole group in 16 straight
+// AND-NOTs, and the group stops at the first key bit after which no row
+// survives — the software form of a segmented match line's early
+// termination. The few blocks still alive near the end finish one at a
+// time, lowest first, and the priority winner is count-trailing-zeros of
+// the first surviving word. A final partial group is stored at its own
+// width, so small sets are not padded to 1024 rows.
+//
+// mismatchCounts() reuses the same planes: every definite key bit's kill
+// plane is added, group by group, into vertical ripple-carry counters.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -33,12 +39,11 @@
 
 namespace fetcam::tcam {
 
-/// A search key decomposed into its definite bit positions with the stored
-/// value broadcast across a 64-row word (~0 for One, 0 for Zero). Built once
-/// per key per batch; X positions are absent — they constrain nothing.
+/// A search key as the kill planes it selects: plane 2b + k for every
+/// definite position b holding k, ascending. Built once per key per batch;
+/// X positions are absent — they constrain nothing.
 struct KeySlices {
-    std::vector<std::uint16_t> bit;        ///< definite positions, ascending
-    std::vector<std::uint64_t> broadcast;  ///< aligned with `bit`
+    std::vector<std::uint16_t> plane;
     static KeySlices of(const TernaryWord& key);
 };
 
@@ -47,9 +52,12 @@ inline constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 
 class TernaryPlanes {
 public:
-    /// Widest word the plane layout supports (KeySlices packs positions into
-    /// 16 bits; realistic TCAM words are <= 512 bits).
+    /// Widest word the plane layout supports (KeySlices packs plane indices
+    /// into 16 bits; realistic TCAM words are <= 512 bits).
     static constexpr int kMaxBits = 1 << 14;
+
+    /// 64-row blocks per plane group: 1024 rows, one engine chunk.
+    static constexpr int kGroupBlocks = 16;
 
     /// Empty set of `bits`-wide rows; rows grow via ensureRows()/set().
     explicit TernaryPlanes(int bits, std::int64_t rows = 0);
@@ -71,8 +79,8 @@ public:
         return (occ_[static_cast<std::size_t>(row >> 6)] >> (row & 63)) & 1u;
     }
 
-    /// The word stored at `row`, decoded exactly from the planes (care 0 ->
-    /// X, else the value bit); nullopt when unoccupied.
+    /// The word stored at `row`, decoded exactly from the planes (kill[2b]
+    /// -> One, kill[2b+1] -> Zero, neither -> X); nullopt when unoccupied.
     std::optional<TernaryWord> get(std::int64_t row) const;
 
     /// Lowest occupied row in [begin, end) matching `key`, or -1 — the
@@ -81,23 +89,29 @@ public:
                                 const KeySlices& key) const;
 
     /// Per-row mismatch counts (definite-and-differing positions) for all
-    /// rows into out[0 .. rows()); unoccupied rows get kNoEntry. Bit-sliced:
-    /// every definite key bit contributes one XOR+AND over a 64-row block,
-    /// accumulated in vertical ripple-carry counter planes.
+    /// rows into out[0 .. rows()); unoccupied rows get kNoEntry.
     void mismatchCounts(const KeySlices& key, std::size_t* out) const;
 
 private:
-    std::size_t planeIndex(std::int64_t block, int bit) const {
-        return static_cast<std::size_t>(block) * static_cast<std::size_t>(bits_) +
-               static_cast<std::size_t>(bit);
+    /// Index in kill_ of `group`'s first word.
+    std::size_t groupOffset(std::int64_t group) const {
+        return static_cast<std::size_t>(group) * kGroupBlocks * 2 *
+               static_cast<std::size_t>(bits_);
+    }
+    /// Words per plane in `group`: 16, or the block count of a final
+    /// partial group.
+    std::size_t groupStride(std::int64_t group) const {
+        return static_cast<std::size_t>(
+            std::min<std::int64_t>(kGroupBlocks, blocks_ - group * kGroupBlocks));
     }
 
     int bits_;
     std::int64_t rows_ = 0;
-    std::int64_t blocks_ = 0;              ///< 64-row blocks allocated
-    std::vector<std::uint64_t> value_;     ///< [block * bits_ + b]
-    std::vector<std::uint64_t> care_;      ///< [block * bits_ + b]
-    std::vector<std::uint64_t> occ_;       ///< [block]
+    std::int64_t blocks_ = 0;  ///< 64-row blocks allocated
+    /// Per group, [plane][block in group], plus kGroupBlocks zero words of
+    /// slack so a 16-lane pass over a partial group stays in bounds.
+    std::vector<std::uint64_t> kill_;
+    std::vector<std::uint64_t> occ_;  ///< [block], zero-padded to whole groups
 };
 
 }  // namespace fetcam::tcam

@@ -148,26 +148,31 @@ TEST(Hamming, TieDetection) {
 TEST(Hamming, DistancesMatchPerRowMismatchCount) {
     // The bit-plane kernel behind distances() must agree with the scalar
     // TernaryWord::mismatchCount row by row — including widths that are not
-    // a multiple of 64 and memories spanning several 64-row blocks.
+    // a multiple of 64 and memories spanning several 64-row blocks. The
+    // memory grows one row at a time past one 1024-row plane group, and is
+    // checked at sizes that end mid-block, on a block edge, inside a partial
+    // first group, on the group edge and in a partial second group.
     numeric::Rng rng(5);
     for (const std::size_t bits : {5u, 64u, 77u}) {
         AssociativeMemory mem(bits);
         std::vector<tcam::TernaryWord> stored;
-        for (int r = 0; r < 70; ++r) {
-            tcam::TernaryWord w(bits);
-            for (std::size_t b = 0; b < bits; ++b)
-                w[b] = rng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
-            mem.add(w);
-            stored.push_back(w);
-        }
-        for (int q = 0; q < 10; ++q) {
-            tcam::TernaryWord key(bits);
-            for (std::size_t b = 0; b < bits; ++b)
-                key[b] = rng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
-            const auto d = mem.distances(key);
-            ASSERT_EQ(d.size(), mem.size());
-            for (std::size_t r = 0; r < d.size(); ++r)
-                EXPECT_EQ(d[r], stored[r].mismatchCount(key));
+        for (const int size : {70, 128, 700, 1024, 1025, 1100}) {
+            while (static_cast<int>(stored.size()) < size) {
+                tcam::TernaryWord w(bits);
+                for (std::size_t b = 0; b < bits; ++b)
+                    w[b] = rng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
+                mem.add(w);
+                stored.push_back(w);
+            }
+            for (int q = 0; q < 10; ++q) {
+                tcam::TernaryWord key(bits);
+                for (std::size_t b = 0; b < bits; ++b)
+                    key[b] = rng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
+                const auto d = mem.distances(key);
+                ASSERT_EQ(d.size(), mem.size());
+                for (std::size_t r = 0; r < d.size(); ++r)
+                    EXPECT_EQ(d[r], stored[r].mismatchCount(key));
+            }
         }
     }
 }

@@ -4,13 +4,16 @@
 // reference built directly on TernaryWord::matches / mismatchCount over the
 // stored entries. The fuzz sweeps widths across machine-word boundaries
 // (1..256, deliberately including non-multiples of 64), row counts beyond
-// one 64-row block, all-X rows, empty slots, keys with X trits, and random
-// [begin, end) sub-ranges — everywhere the bit-plane partial-block masking
-// could go wrong.
+// one 64-row block and beyond one 1024-row plane group (with a partial last
+// group), all-X rows, empty slots, keys with X trits, and random [begin, end)
+// sub-ranges, some straddling a group edge — everywhere the bit-plane
+// partial-block and partial-group masking could go wrong.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "numeric/stats.hpp"
@@ -55,6 +58,15 @@ struct NaiveTable {
     }
 };
 
+/// A backend's mismatch counts in a fresh, poisoned buffer, so a kernel that
+/// leaves rows unwritten cannot pass on an earlier backend's output.
+std::vector<std::size_t> countsOf(const serve::MatchBackend& backend,
+                                  const serve::PreparedKey& key) {
+    std::vector<std::size_t> out(static_cast<std::size_t>(backend.rows()), 0xdead);
+    backend.mismatchCounts(key, out.data());
+    return out;
+}
+
 }  // namespace
 
 TEST(MatchBackend, ParseAndNameRoundTrip) {
@@ -87,11 +99,15 @@ TEST(MatchBackend, FactoryProducesRequestedKindAllRowsEmpty) {
 // naive reference, across widths that straddle 64-bit boundaries.
 TEST(MatchBackend, DifferentialFuzzAgainstNaiveReference) {
     numeric::Rng rng(2026);
-    for (const int bits : {1, 3, 7, 31, 64, 65, 127, 128, 200, 256}) {
-        // Row counts cross the one-block boundary for every width at least
-        // once; 130 exercises two full blocks plus a partial third.
-        const std::int64_t rows = (bits <= 31) ? 130 : 70;
-
+    // Row counts cross the one-block boundary for every width at least once;
+    // 130 exercises two full blocks plus a partial third. 1030 and 2100 cross
+    // one and two 1024-row groups and end in a partial group.
+    std::vector<std::pair<int, std::int64_t>> cases;
+    for (const int bits : {1, 3, 7, 31, 64, 65, 127, 128, 200, 256})
+        cases.emplace_back(bits, bits <= 31 ? 130 : 70);
+    for (const std::int64_t rows : {1030, 2100})
+        for (const int bits : {64, 256}) cases.emplace_back(bits, rows);
+    for (const auto& [bits, rows] : cases) {
         NaiveTable naive;
         naive.rows.resize(static_cast<std::size_t>(rows));
         auto scalar = serve::makeMatchBackend(serve::MatchBackendKind::Scalar, rows, bits);
@@ -119,17 +135,30 @@ TEST(MatchBackend, DifferentialFuzzAgainstNaiveReference) {
 
         for (int round = 0; round < 3; ++round) {
             for (int q = 0; q < 25; ++q) {
-                // Keys may themselves carry X trits (skipped bit-planes).
-                const auto key = randomWord(rng, bits, q % 5 == 0 ? 0.3 : 0.0);
+                // Keys may themselves carry X trits (skipped bit-planes); some
+                // are a stored row with its X trits filled in, so they hit.
+                auto key = randomWord(rng, bits, q % 5 == 0 ? 0.3 : 0.0);
+                const auto& stored = naive.rows[static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<int>(rows) - 1))];
+                if (q % 5 == 3 && stored) {
+                    for (std::size_t b = 0; b < key.size(); ++b)
+                        if ((*stored)[b] != tcam::Trit::X) key[b] = (*stored)[b];
+                }
                 const auto ps = scalar->prepare(key);
                 const auto pp = planes->prepare(key);
                 const auto pc = checked->prepare(key);
 
-                // Full range plus random sub-ranges, including empty ones.
+                // Full range plus random sub-ranges, including empty ones, and
+                // ranges that start and end inside groups across a group edge.
                 std::int64_t begin = 0, end = rows;
                 if (q % 3 == 1) {
                     begin = rng.uniformInt(0, static_cast<int>(rows));
                     end = rng.uniformInt(static_cast<int>(begin), static_cast<int>(rows));
+                } else if (q % 3 == 2 && rows > 1024) {
+                    const std::int64_t edge =
+                        1024 * rng.uniformInt(1, static_cast<int>(rows / 1024));
+                    begin = edge - rng.uniformInt(1, 100);
+                    end = std::min(rows, edge + rng.uniformInt(1, 100));
                 }
                 const auto want = naive.findFirst(begin, end, key);
                 EXPECT_EQ(scalar->findFirst(begin, end, ps), want)
@@ -140,13 +169,9 @@ TEST(MatchBackend, DifferentialFuzzAgainstNaiveReference) {
                     << "checked bits=" << bits << " [" << begin << "," << end << ")";
 
                 const auto wantCounts = naive.mismatchCounts(key);
-                std::vector<std::size_t> got(static_cast<std::size_t>(rows));
-                scalar->mismatchCounts(ps, got.data());
-                EXPECT_EQ(got, wantCounts) << "scalar bits=" << bits;
-                planes->mismatchCounts(pp, got.data());
-                EXPECT_EQ(got, wantCounts) << "bitplane bits=" << bits;
-                checked->mismatchCounts(pc, got.data());
-                EXPECT_EQ(got, wantCounts) << "checked bits=" << bits;
+                EXPECT_EQ(countsOf(*scalar, ps), wantCounts) << "scalar bits=" << bits;
+                EXPECT_EQ(countsOf(*planes, pp), wantCounts) << "bitplane bits=" << bits;
+                EXPECT_EQ(countsOf(*checked, pc), wantCounts) << "checked bits=" << bits;
             }
             // Mutate between rounds: the planes must stay consistent under
             // incremental set/clear, not just bulk load.
@@ -165,7 +190,9 @@ TEST(MatchBackend, DifferentialFuzzAgainstNaiveReference) {
             for (const auto* b : {scalar.get(), planes.get(), checked.get()}) {
                 const auto& got = b->at(r);
                 ASSERT_EQ(got.has_value(), want.has_value());
-                if (want) EXPECT_EQ(got->toString(), want->toString());
+                if (want) {
+                    EXPECT_EQ(got->toString(), want->toString());
+                }
             }
         }
     }
@@ -173,15 +200,20 @@ TEST(MatchBackend, DifferentialFuzzAgainstNaiveReference) {
 
 // Dedicated mismatchCounts fuzz at wildcard densities the main fuzz only
 // grazes: stored rows that are 0%, 50% and 100% X trits, at widths exactly
-// straddling the 64-bit plane-word boundary. A stored X never counts as a
-// mismatch regardless of the key bit — the bit-plane care masks and the
-// partial-block tail masking must both get this right, since similarity
-// search (nearestK / thresholdMatch) is built directly on these counts.
+// straddling the 64-bit plane-word boundary, and on tables that cross one
+// or two 1024-row plane groups into a partial last group. A stored X never
+// counts as a mismatch regardless of the key bit — the kill planes and the
+// partial-block and partial-group tails must all get this right, since
+// similarity search (nearestK / thresholdMatch) is built on these counts.
 TEST(MatchBackend, MismatchCountsWildcardRowsAtWordBoundaries) {
     numeric::Rng rng(4242);
-    for (const int bits : {63, 64, 65, 127, 128, 129}) {
+    std::vector<std::pair<int, std::int64_t>> cases;
+    for (const int bits : {63, 64, 65, 127, 128, 129})
+        cases.emplace_back(bits, 70);  // one full 64-row block + a tail
+    for (const std::int64_t rows : {1030, 2100})
+        for (const int bits : {64, 256}) cases.emplace_back(bits, rows);
+    for (const auto& [bits, rows] : cases) {
         for (const double xDensity : {0.0, 0.5, 1.0}) {
-            const std::int64_t rows = 70;  // one full 64-row block + a tail
             NaiveTable naive;
             naive.rows.resize(static_cast<std::size_t>(rows));
             auto scalar =
@@ -204,18 +236,20 @@ TEST(MatchBackend, MismatchCountsWildcardRowsAtWordBoundaries) {
                 // Keys both fully definite and with their own X trits.
                 const auto key = randomWord(rng, bits, q % 4 == 0 ? 0.3 : 0.0);
                 const auto want = naive.mismatchCounts(key);
-                std::vector<std::size_t> got(static_cast<std::size_t>(rows));
-                scalar->mismatchCounts(scalar->prepare(key), got.data());
-                EXPECT_EQ(got, want) << "scalar bits=" << bits << " x=" << xDensity;
-                planes->mismatchCounts(planes->prepare(key), got.data());
-                EXPECT_EQ(got, want) << "bitplane bits=" << bits << " x=" << xDensity;
-                checked->mismatchCounts(checked->prepare(key), got.data());
+                EXPECT_EQ(countsOf(*scalar, scalar->prepare(key)), want)
+                    << "scalar bits=" << bits << " x=" << xDensity;
+                EXPECT_EQ(countsOf(*planes, planes->prepare(key)), want)
+                    << "bitplane bits=" << bits << " x=" << xDensity;
+                const auto got = countsOf(*checked, checked->prepare(key));
                 EXPECT_EQ(got, want) << "checked bits=" << bits << " x=" << xDensity;
                 // All-X rows match every key: their count must be exactly 0.
-                if (xDensity == 1.0)
-                    for (std::int64_t r = 0; r < rows; ++r)
-                        if (naive.rows[static_cast<std::size_t>(r)])
+                if (xDensity == 1.0) {
+                    for (std::int64_t r = 0; r < rows; ++r) {
+                        if (naive.rows[static_cast<std::size_t>(r)]) {
                             EXPECT_EQ(got[static_cast<std::size_t>(r)], 0u);
+                        }
+                    }
+                }
             }
         }
     }
@@ -290,7 +324,9 @@ TEST(MatchBackend, CloneIsADeepIndependentCopy) {
                 copy->set(0, randomWord(rng, bits, 0.0));
                 copy->clear(2 % rows);
                 EXPECT_EQ(original->at(0), before);
-                if (rows > 2) EXPECT_EQ(original->at(2).has_value(), true);
+                if (rows > 2) {
+                    EXPECT_EQ(original->at(2).has_value(), true);
+                }
 
                 // And mutate the original: the copy must not move either.
                 const auto copyRow = copy->at(0);
