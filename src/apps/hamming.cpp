@@ -16,8 +16,8 @@ void AssociativeMemory::add(const tcam::TernaryWord& word) {
 }
 
 std::vector<std::size_t> AssociativeMemory::distances(const tcam::TernaryWord& query) const {
-    // Width is validated once per query; the per-row counts come from the
-    // bit-plane kernel, 64 rows per machine word.
+    // Width is validated once per query; the per-row counts come from one
+    // ripple-carry pass over the key's kill planes.
     if (query.size() != bits())
         throw std::invalid_argument("AssociativeMemory::distances: width mismatch");
     std::vector<std::size_t> out(size());
