@@ -2,6 +2,7 @@
 // classification, and Hamming-nearest associative search, priced per query
 // on the CMOS baseline vs the plain and energy-aware FeFET designs.
 #include "bench_util.hpp"
+#include "serve/query_engine.hpp"
 
 using namespace fetcam;
 
@@ -63,14 +64,18 @@ int main(int argc, char** argv) {
     for (const auto& p : pkts) clsHits += cls.classify(p).has_value();
 
     const auto rows = apps::randomHypervectors(128, 64, 5);
-    apps::AssociativeMemory mem(64);
-    for (const auto& r : rows) mem.add(r);
+    serve::EngineOptions options;
+    options.shard = core::proposedDesign(64, 128).config;
+    options.shard.selectivePrecharge = false;  // approximate search evaluates every row
+    options.capacity = 128;
+    serve::QueryEngine mem(options);
+    for (const auto& r : rows) mem.insert(r);
     numeric::Rng rng(6);
     int recalled = 0;
     for (int i = 0; i < 100; ++i) {
-        const auto target = static_cast<std::size_t>(rng.uniformInt(0, 127));
-        const auto noisy = apps::perturbWord(rows[target], 5, rng);
-        recalled += mem.nearestViaDischarge(noisy).index == target;
+        const int target = rng.uniformInt(0, 127);
+        const auto noisy = apps::perturbWord(rows[static_cast<std::size_t>(target)], 5, rng);
+        recalled += mem.nearestK(noisy, 1)[0].row == target;
     }
     std::printf("functional: LPM hit rate %.1f%%, classifier hit rate %.1f%%, "
                 "associative recall %d%%\n\n",

@@ -12,8 +12,8 @@
 //     >1e8 entry-matches/s/core target is about).
 //   * find/hit  — keys derived from stored rows, so priority hits are
 //     common and the ascending-shard early-out matters.
-//   * mismatch  — per-row Hamming mismatch counts (the similarity-search
-//     path hamming.cpp rides), all rows counted per query.
+//   * mismatch  — per-row Hamming mismatch counts (the kernel under
+//     QueryEngine::nearestK / thresholdMatch), all rows counted per query.
 //
 // Throughput metric: entry-matches/s = rows x queries / seconds — every
 // query consults every row of the shard (find scenarios) or counts every

@@ -42,10 +42,6 @@ RuleBuilder& RuleBuilder::dstPrefix(std::uint32_t addr, int len) {
     setField(32, addr, len, 32);
     return *this;
 }
-RuleBuilder& RuleBuilder::srcPort(std::uint16_t port) {
-    setField(64, port, 16, 16);
-    return *this;
-}
 RuleBuilder& RuleBuilder::dstPort(std::uint16_t port) {
     setField(80, port, 16, 16);
     return *this;

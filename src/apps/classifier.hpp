@@ -37,7 +37,6 @@ public:
     RuleBuilder();
     RuleBuilder& srcPrefix(std::uint32_t addr, int len);
     RuleBuilder& dstPrefix(std::uint32_t addr, int len);
-    RuleBuilder& srcPort(std::uint16_t port);   ///< exact
     RuleBuilder& dstPort(std::uint16_t port);   ///< exact
     RuleBuilder& protocol(std::uint8_t proto);  ///< exact
     ClassifierRule build(int action, std::string name = {}) const;

@@ -19,12 +19,6 @@ tcam::TernaryWord TlbEntry::tag() const {
     return w;
 }
 
-bool TlbEntry::covers(std::uint64_t vaddr) const {
-    const std::uint64_t pageVpn = (vaddr >> 12) & ((1ULL << Tlb::kVpnBits) - 1);
-    const int wild = wildcardBits(size);
-    return (pageVpn >> wild) == (vpn >> wild);
-}
-
 Tlb::Tlb(std::size_t capacity) : capacity_(capacity) {
     if (capacity == 0) throw std::invalid_argument("Tlb: capacity must be > 0");
 }

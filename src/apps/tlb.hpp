@@ -41,7 +41,6 @@ struct TlbEntry {
     std::uint64_t pfn = 0;  ///< physical frame number
 
     tcam::TernaryWord tag() const;  ///< kVpnBits-wide ternary tag
-    bool covers(std::uint64_t vaddr) const;
 };
 
 class Tlb {

@@ -6,12 +6,11 @@
 //   device  : MOSFET / ferroelectric / FeFET / ReRAM compact models
 //   tcam    : ternary types, cell designs, netlist builders, write paths
 //   array   : word-level simulation, array energy model, Monte Carlo
-//   apps    : LPM routing, packet classification, associative search
+//   apps    : LPM routing, packet classification, TLB, dictionary, workloads
 //   core    : design-space exploration and reporting
 #pragma once
 
 #include "apps/classifier.hpp"
-#include "apps/hamming.hpp"
 #include "apps/lpm.hpp"
 #include "apps/workloads.hpp"
 #include "apps/dictionary.hpp"

@@ -12,8 +12,6 @@ DenseMatrix DenseMatrix::identity(std::size_t n) {
     return m;
 }
 
-void DenseMatrix::setZero() { std::fill(data_.begin(), data_.end(), 0.0); }
-
 std::vector<double> DenseMatrix::multiply(const std::vector<double>& x) const {
     if (x.size() != cols_) throw std::invalid_argument("DenseMatrix::multiply: size mismatch");
     std::vector<double> y(rows_, 0.0);
@@ -24,19 +22,6 @@ std::vector<double> DenseMatrix::multiply(const std::vector<double>& x) const {
         y[r] = acc;
     }
     return y;
-}
-
-DenseMatrix DenseMatrix::transpose() const {
-    DenseMatrix t(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-    return t;
-}
-
-double DenseMatrix::norm() const {
-    double acc = 0.0;
-    for (double v : data_) acc += v * v;
-    return std::sqrt(acc);
 }
 
 DenseLu::DenseLu(const DenseMatrix& a) : n_(a.rows()), lu_(a), perm_(a.rows()) {

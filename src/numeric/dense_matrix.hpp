@@ -24,15 +24,8 @@ public:
     double& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
     double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
-    void setZero();
-
     /// y = A * x. Requires x.size() == cols().
     std::vector<double> multiply(const std::vector<double>& x) const;
-
-    DenseMatrix transpose() const;
-
-    /// Frobenius norm.
-    double norm() const;
 
 private:
     std::size_t rows_ = 0;

@@ -97,8 +97,6 @@ int Rng::uniformInt(int lo, int hi) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-Rng Rng::split() { return Rng(nextU64() ^ 0xa5a5a5a5deadbeefULL); }
-
 Rng Rng::forStream(std::uint64_t seed, std::uint64_t stream) {
     // Two splitMix64 rounds decorrelate adjacent stream indices before the
     // Rng constructor expands the result into xoshiro state.

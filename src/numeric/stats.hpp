@@ -44,15 +44,10 @@ public:
     int uniformInt(int lo, int hi);         ///< inclusive range [lo, hi]
     bool bernoulli(double p);
 
-    /// Split off an independent stream (for per-trial reproducibility).
-    /// Order-dependent: the k-th split depends on every draw before it. For
-    /// sweeps that must be schedule-independent, use forStream instead.
-    Rng split();
-
-    /// Counter-based split: an independent stream identified by (seed,
-    /// stream) alone — stream k is the same no matter how many streams were
-    /// created before it or in what order. This is what keeps parallel Monte
-    /// Carlo bit-identical to the serial run.
+    /// An independent stream identified by (seed, stream) alone — stream k
+    /// is the same no matter how many streams were created before it or in
+    /// what order. This is what keeps parallel Monte Carlo bit-identical to
+    /// the serial run.
     static Rng forStream(std::uint64_t seed, std::uint64_t stream);
 
 private:

@@ -118,9 +118,10 @@ struct EngineOptions {
     /// store.dir; ignored without it.
     bool persistEntries = false;
     AdmissionOptions admission;
-    /// Functional match implementation: bit-plane (64 entries per machine
-    /// word, the default), the scalar row-scan oracle, or checked (both,
-    /// cross-asserted per query). All three are bit-identical.
+    /// Functional match implementation: bit-plane (per-search-line kill
+    /// planes, one 1024-row group cleared per key bit; the default), the
+    /// scalar row-scan oracle, or checked (both, cross-asserted per query).
+    /// All three are bit-identical.
     MatchBackendKind backend = MatchBackendKind::BitPlane;
     /// Bits per FeFET cell the similarity queries are priced at (the MLC
     /// ladder; 1 = binary cells). Functional similarity results never

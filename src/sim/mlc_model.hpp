@@ -69,8 +69,8 @@ MlcCharacterization characterizeMlc(const device::TechCard& tech,
                                     const MlcOptions& options,
                                     const array::WordSimFn& sim = {});
 
-// --- distance-tolerant sensing (generalizes AssociativeMemory's analog
-// --- discharge model from nearest-of-all to bounded-distance selection) ---
+// --- distance-tolerant sensing: the analog matchline discharge model,
+// --- from nearest-of-all (latest discharge wins) to bounded distance ---
 
 /// Sentinel distance for an empty row (mirrors tcam::kNoEntry semantics):
 /// its matchline is held discharged and can never read as a hit.

@@ -16,14 +16,6 @@ bool hitLess(const SimilarityHit& a, const SimilarityHit& b) {
 
 }  // namespace
 
-const char* similarityKindName(SimilarityKind kind) noexcept {
-    switch (kind) {
-        case SimilarityKind::NearestK: return "nearest";
-        case SimilarityKind::Threshold: return "threshold";
-    }
-    return "?";
-}
-
 void validateSimilarityOptions(const SimilarityOptions& options) {
     if (options.kind != SimilarityKind::NearestK &&
         options.kind != SimilarityKind::Threshold)

@@ -32,9 +32,6 @@ enum class SimilarityKind : std::uint8_t {
     Threshold = 2,  ///< all rows with distance <= maxDistance (capped)
 };
 
-/// Stable name ("nearest" / "threshold").
-const char* similarityKindName(SimilarityKind kind) noexcept;
-
 struct SimilarityOptions {
     SimilarityKind kind = SimilarityKind::NearestK;
     /// NearestK: rows requested.

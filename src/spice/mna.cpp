@@ -125,14 +125,4 @@ const numeric::SparseMatrixCsc& Mna::compile() {
     return csc_;
 }
 
-numeric::SparseMatrixCsc Mna::buildMatrix() const {
-    if (obs::enabled()) {
-        static obs::Counter& builds = obs::counter("spice.mna.matrix_builds");
-        static obs::Gauge& unknowns = obs::gauge("spice.mna.unknowns");
-        builds.add();
-        unknowns.set(unknowns_);
-    }
-    return numeric::SparseMatrixCsc::fromTriplets(triplets_);
-}
-
 }  // namespace fetcam::spice

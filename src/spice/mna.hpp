@@ -109,9 +109,6 @@ public:
     /// compiled and return immediately.
     const numeric::SparseMatrixCsc& compile();
 
-    /// Legacy one-shot compile: copy of the matrix for the current triplets.
-    numeric::SparseMatrixCsc buildMatrix() const;
-
     const std::vector<double>& rhs() const { return rhs_; }
 
 private:

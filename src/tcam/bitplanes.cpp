@@ -62,37 +62,16 @@ KeySlices KeySlices::of(const TernaryWord& key) {
     return s;
 }
 
-TernaryPlanes::TernaryPlanes(int bits, std::int64_t rows) : bits_(bits) {
-    if (bits < 0 || bits > kMaxBits)
-        throw std::invalid_argument("TernaryPlanes: bits out of range");
-    kill_.resize(kGroupBlocks, 0);
-    ensureRows(rows);
-}
-
-void TernaryPlanes::ensureRows(std::int64_t rows) {
-    if (rows <= rows_) return;
-    const std::int64_t blocks = (rows + 63) >> 6;
-    if (blocks > blocks_) {
-        const std::size_t planes = 2 * static_cast<std::size_t>(bits_);
-        const std::int64_t last = blocks_ / kGroupBlocks;
-        const std::size_t from = groupStride(last);  // 0 when no partial group
-        kill_.resize(static_cast<std::size_t>(blocks) * planes + kGroupBlocks, 0);
-        blocks_ = blocks;
-        if (from != 0) {
-            // Widen the old partial group in place: move each plane, highest
-            // first, from the old stride to the new and zero the new blocks.
-            const std::size_t to = groupStride(last);
-            std::uint64_t* group = kill_.data() + groupOffset(last);
-            for (std::size_t p = planes; p-- > 0;) {
-                for (std::size_t k = from; k-- > 0;) group[p * to + k] = group[p * from + k];
-                std::fill(group + p * to + from, group + p * to + to, 0);
-            }
-        }
-        occ_.resize(static_cast<std::size_t>((blocks + kGroupBlocks - 1) / kGroupBlocks) *
-                        kGroupBlocks,
-                    0);
-    }
-    rows_ = rows;
+TernaryPlanes::TernaryPlanes(int bits, std::int64_t rows)
+    : bits_(bits), rows_(rows), blocks_((rows + 63) >> 6) {
+    if (bits < 0 || bits > kMaxBits || rows < 0)
+        throw std::invalid_argument("TernaryPlanes: geometry out of range");
+    kill_.assign(static_cast<std::size_t>(blocks_) * 2 * static_cast<std::size_t>(bits_) +
+                     kGroupBlocks,
+                 0);
+    occ_.assign(static_cast<std::size_t>((blocks_ + kGroupBlocks - 1) / kGroupBlocks) *
+                    kGroupBlocks,
+                0);
 }
 
 void TernaryPlanes::set(std::int64_t row, const TernaryWord& word) {

@@ -59,14 +59,11 @@ public:
     /// 64-row blocks per plane group: 1024 rows, one engine chunk.
     static constexpr int kGroupBlocks = 16;
 
-    /// Empty set of `bits`-wide rows; rows grow via ensureRows()/set().
-    explicit TernaryPlanes(int bits, std::int64_t rows = 0);
+    /// `rows` unoccupied `bits`-wide rows, allocated once; set() fills them.
+    TernaryPlanes(int bits, std::int64_t rows);
 
     int bits() const { return bits_; }
     std::int64_t rows() const { return rows_; }
-
-    /// Grow to at least `rows` rows (new rows unoccupied). Never shrinks.
-    void ensureRows(std::int64_t rows);
 
     /// Store `word` at `row` (row < rows(); word.size() == bits() — callers
     /// validate once per batch, this is the unchecked hot path).
@@ -106,8 +103,8 @@ private:
     }
 
     int bits_;
-    std::int64_t rows_ = 0;
-    std::int64_t blocks_ = 0;  ///< 64-row blocks allocated
+    std::int64_t rows_;
+    std::int64_t blocks_;  ///< 64-row blocks allocated
     /// Per group, [plane][block in group], plus kGroupBlocks zero words of
     /// slack so a 16-lane pass over a partial group stays in bounds.
     std::vector<std::uint64_t> kill_;

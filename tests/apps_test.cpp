@@ -1,14 +1,19 @@
 // Application-layer tests: LPM routing semantics, packet classification,
-// associative (Hamming) search, and workload generators.
+// associative (Hamming) search on the serving engine, and workload
+// generators.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <memory>
+#include <vector>
 
 #include "apps/classifier.hpp"
-#include "apps/hamming.hpp"
 #include "apps/lpm.hpp"
 #include "apps/workloads.hpp"
 #include "numeric/stats.hpp"
+#include "recover/sim_error.hpp"
+#include "serve/query_engine.hpp"
 
 using namespace fetcam;
 using namespace fetcam::apps;
@@ -17,6 +22,38 @@ namespace {
 std::uint32_t ip(int a, int b, int c, int d) {
     return (static_cast<std::uint32_t>(a) << 24) | (static_cast<std::uint32_t>(b) << 16) |
            (static_cast<std::uint32_t>(c) << 8) | static_cast<std::uint32_t>(d);
+}
+
+/// Associative search runs on the serving engine: `rows` stored in order on
+/// an FeFET geometry, each in the row of its index.
+std::unique_ptr<serve::QueryEngine> associativeMemory(
+    const std::vector<tcam::TernaryWord>& rows) {
+    serve::EngineOptions o;
+    o.shard.cell = tcam::CellKind::FeFet2;
+    o.shard.wordBits = static_cast<int>(rows.front().size());
+    o.capacity = static_cast<std::int64_t>(rows.size());
+    auto mem = std::make_unique<serve::QueryEngine>(o);
+    for (const auto& r : rows) mem->insert(r);
+    return mem;
+}
+
+std::unique_ptr<serve::QueryEngine> associativeMemory(std::initializer_list<const char*> rows) {
+    std::vector<tcam::TernaryWord> words;
+    for (const char* r : rows) words.push_back(tcam::TernaryWord::fromString(r));
+    return associativeMemory(words);
+}
+
+/// The analog winner among `hits`: the latest matchline discharge at the
+/// engine's tauUnit, ties to the lowest row.
+std::size_t latestDischarge(serve::QueryEngine& mem, const sim::SimilarityHits& hits) {
+    std::vector<std::size_t> distances;
+    for (const auto& h : hits) distances.push_back(h.distance);
+    const auto times = sim::dischargeTimes(distances, mem.simCost().tauUnitSeconds);
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < hits.size(); ++i)
+        if (times[i] > times[best] || (times[i] == times[best] && hits[i].row < hits[best].row))
+            best = i;
+    return best;
 }
 }  // namespace
 
@@ -127,61 +164,26 @@ TEST(Classifier, RejectsBadPatternWidth) {
 }
 
 TEST(Hamming, ExactNearest) {
-    AssociativeMemory mem(8);
-    mem.add(tcam::TernaryWord::fromString("00000000"));
-    mem.add(tcam::TernaryWord::fromString("11110000"));
-    mem.add(tcam::TernaryWord::fromString("11111111"));
-    const auto r = mem.nearest(tcam::TernaryWord::fromString("11100000"));
-    EXPECT_EQ(r.index, 1u);
-    EXPECT_EQ(r.distance, 1u);
-    EXPECT_TRUE(r.unique);
+    const auto mem = associativeMemory({"00000000", "11110000", "11111111"});
+    const auto hits = mem->nearestK(tcam::TernaryWord::fromString("11100000"), 2);
+    ASSERT_EQ(hits.size(), 2u);
+    EXPECT_EQ(hits[0].row, 1);
+    EXPECT_EQ(hits[0].distance, 1u);
+    EXPECT_GT(hits[1].distance, hits[0].distance);  // a unique winner
 }
 
 TEST(Hamming, TieDetection) {
-    AssociativeMemory mem(4);
-    mem.add(tcam::TernaryWord::fromString("0000"));
-    mem.add(tcam::TernaryWord::fromString("1111"));
-    const auto r = mem.nearest(tcam::TernaryWord::fromString("0011"));
-    EXPECT_FALSE(r.unique);
+    const auto mem = associativeMemory({"0000", "1111"});
+    const auto hits = mem->nearestK(tcam::TernaryWord::fromString("0011"), 2);
+    ASSERT_EQ(hits.size(), 2u);
+    EXPECT_EQ(hits[0].row, 0);
+    EXPECT_EQ(hits[0].distance, hits[1].distance);
 }
 
-TEST(Hamming, DistancesMatchPerRowMismatchCount) {
-    // The bit-plane kernel behind distances() must agree with the scalar
-    // TernaryWord::mismatchCount row by row — including widths that are not
-    // a multiple of 64 and memories spanning several 64-row blocks. The
-    // memory grows one row at a time past one 1024-row plane group, and is
-    // checked at sizes that end mid-block, on a block edge, inside a partial
-    // first group, on the group edge and in a partial second group.
-    numeric::Rng rng(5);
-    for (const std::size_t bits : {5u, 64u, 77u}) {
-        AssociativeMemory mem(bits);
-        std::vector<tcam::TernaryWord> stored;
-        for (const int size : {70, 128, 700, 1024, 1025, 1100}) {
-            while (static_cast<int>(stored.size()) < size) {
-                tcam::TernaryWord w(bits);
-                for (std::size_t b = 0; b < bits; ++b)
-                    w[b] = rng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
-                mem.add(w);
-                stored.push_back(w);
-            }
-            for (int q = 0; q < 10; ++q) {
-                tcam::TernaryWord key(bits);
-                for (std::size_t b = 0; b < bits; ++b)
-                    key[b] = rng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
-                const auto d = mem.distances(key);
-                ASSERT_EQ(d.size(), mem.size());
-                for (std::size_t r = 0; r < d.size(); ++r)
-                    EXPECT_EQ(d[r], stored[r].mismatchCount(key));
-            }
-        }
-    }
-}
-
-TEST(Hamming, RejectsWildcardsAndWidthMismatch) {
-    AssociativeMemory mem(4);
-    EXPECT_THROW(mem.add(tcam::TernaryWord::fromString("0X01")), std::invalid_argument);
-    EXPECT_THROW(mem.add(tcam::TernaryWord::fromString("01")), std::invalid_argument);
-    EXPECT_THROW(mem.nearest(tcam::TernaryWord::fromString("0000")), std::logic_error);
+TEST(Hamming, RejectsWidthMismatch) {
+    const auto mem = associativeMemory({"0101"});
+    EXPECT_THROW(mem->insert(tcam::TernaryWord::fromString("01")), recover::SimError);
+    EXPECT_THROW(mem->nearestK(tcam::TernaryWord::fromString("01"), 1), recover::SimError);
 }
 
 TEST(Hamming, DischargeModelAgreesWithExactModel) {
@@ -189,76 +191,72 @@ TEST(Hamming, DischargeModelAgreesWithExactModel) {
     // whenever no exact-match row exists (exact matches never discharge and
     // trivially win in both models too).
     const auto rows = randomHypervectors(32, 64, 21);
-    AssociativeMemory mem(64);
-    for (const auto& r : rows) mem.add(r);
+    const auto mem = associativeMemory(rows);
     numeric::Rng rng(22);
     for (int q = 0; q < 50; ++q) {
         const auto base = rows[static_cast<std::size_t>(rng.uniformInt(0, 31))];
         const auto query = perturbWord(base, static_cast<std::size_t>(rng.uniformInt(1, 8)),
                                        rng);
-        const auto exact = mem.nearest(query);
-        const auto analog = mem.nearestViaDischarge(query);
-        if (exact.unique) EXPECT_EQ(analog.index, exact.index);
-        EXPECT_EQ(analog.distance, exact.distance);
+        const auto hits = mem->nearestK(query, 32);
+        const auto analog = hits[latestDischarge(*mem, hits)];
+        if (hits[1].distance > hits[0].distance) {
+            EXPECT_EQ(analog.row, hits[0].row);
+        }
+        EXPECT_EQ(analog.distance, hits[0].distance);
     }
 }
 
 TEST(Hamming, DischargeTieBreaksToLowestIndexLikeExactModel) {
     // Three rows at identical distance from the query: both models must
-    // report the lowest index and flag the tie, on every tie position.
-    AssociativeMemory mem(8);
-    mem.add(tcam::TernaryWord::fromString("10000000"));  // d=1 from all-zeros
-    mem.add(tcam::TernaryWord::fromString("01000000"));  // d=1
-    mem.add(tcam::TernaryWord::fromString("11110000"));  // d=4
-    mem.add(tcam::TernaryWord::fromString("00100000"));  // d=1
-    const auto query = tcam::TernaryWord::fromString("00000000");
-    const auto exact = mem.nearest(query);
-    const auto analog = mem.nearestViaDischarge(query);
-    EXPECT_EQ(analog.index, 0u);
-    EXPECT_EQ(analog.index, exact.index);
+    // report the lowest index, on every tie position.
+    const auto mem = associativeMemory({"10000000",    // d=1 from all-zeros
+                                        "01000000",    // d=1
+                                        "11110000",    // d=4
+                                        "00100000"});  // d=1
+    const auto hits = mem->nearestK(tcam::TernaryWord::fromString("00000000"), 4);
+    const auto analog = hits[latestDischarge(*mem, hits)];
+    EXPECT_EQ(analog.row, 0);
+    EXPECT_EQ(analog.row, hits[0].row);
     EXPECT_EQ(analog.distance, 1u);
-    EXPECT_FALSE(analog.unique);
-    EXPECT_FALSE(exact.unique);
+    EXPECT_EQ(hits[1].distance, 1u);  // the tie the exact model reports
 }
 
 TEST(Hamming, ExactMatchBeatsDistanceOneDeterministically) {
     // An exact-match row never discharges (+inf): it must win over a
     // distance-1 row regardless of ordering, and two exact matches tie to
     // the lowest index exactly like the exact model.
+    const auto query = tcam::TernaryWord::fromString("00000000");
     {
-        AssociativeMemory mem(8);
-        mem.add(tcam::TernaryWord::fromString("10000000"));  // d=1, earlier row
-        mem.add(tcam::TernaryWord::fromString("00000000"));  // exact, later row
-        const auto analog =
-            mem.nearestViaDischarge(tcam::TernaryWord::fromString("00000000"));
-        EXPECT_EQ(analog.index, 1u);
+        const auto mem = associativeMemory({"10000000",    // d=1, earlier row
+                                            "00000000"});  // exact, later row
+        const auto hits = mem->nearestK(query, 2);
+        const auto analog = hits[latestDischarge(*mem, hits)];
+        EXPECT_EQ(analog.row, 1);
         EXPECT_EQ(analog.distance, 0u);
-        EXPECT_TRUE(analog.unique);
+        EXPECT_EQ(hits[1].distance, 1u);
     }
     {
-        AssociativeMemory mem(8);
-        mem.add(tcam::TernaryWord::fromString("00000000"));  // exact
-        mem.add(tcam::TernaryWord::fromString("00000000"));  // exact duplicate
-        mem.add(tcam::TernaryWord::fromString("10000000"));  // d=1
-        const auto query = tcam::TernaryWord::fromString("00000000");
-        const auto exact = mem.nearest(query);
-        const auto analog = mem.nearestViaDischarge(query);
-        EXPECT_EQ(analog.index, 0u);
-        EXPECT_EQ(analog.index, exact.index);
+        const auto mem = associativeMemory({"00000000",    // exact
+                                            "00000000",    // exact duplicate
+                                            "10000000"});  // d=1
+        const auto hits = mem->nearestK(query, 3);
+        const auto analog = hits[latestDischarge(*mem, hits)];
+        EXPECT_EQ(analog.row, 0);
+        EXPECT_EQ(analog.row, hits[0].row);
         EXPECT_EQ(analog.distance, 0u);
-        EXPECT_FALSE(analog.unique);
-        EXPECT_FALSE(exact.unique);
+        EXPECT_EQ(hits[1].distance, 0u);
     }
 }
 
 TEST(Hamming, DischargeTimesInverseToDistance) {
-    AssociativeMemory mem(8);
-    mem.add(tcam::TernaryWord::fromString("00000000"));
-    const auto t1 = mem.dischargeTimes(tcam::TernaryWord::fromString("10000000"));
-    const auto t4 = mem.dischargeTimes(tcam::TernaryWord::fromString("11110000"));
-    EXPECT_DOUBLE_EQ(t1[0] / t4[0], 4.0);
-    const auto tExact = mem.dischargeTimes(tcam::TernaryWord::fromString("00000000"));
-    EXPECT_TRUE(std::isinf(tExact[0]));
+    const auto mem = associativeMemory({"00000000"});
+    const double tau = mem->simCost().tauUnitSeconds;
+    const auto time = [&](const char* key) {
+        const auto hits = mem->nearestK(tcam::TernaryWord::fromString(key), 1);
+        return sim::dischargeTimes({hits[0].distance}, tau)[0];
+    };
+    EXPECT_DOUBLE_EQ(time("10000000") / time("11110000"), 4.0);
+    EXPECT_TRUE(std::isinf(time("00000000")));
 }
 
 TEST(Workloads, SyntheticTableShape) {

@@ -200,16 +200,18 @@ TEST(MatchBackend, DifferentialFuzzAgainstNaiveReference) {
 
 // Dedicated mismatchCounts fuzz at wildcard densities the main fuzz only
 // grazes: stored rows that are 0%, 50% and 100% X trits, at widths exactly
-// straddling the 64-bit plane-word boundary, and on tables that cross one
-// or two 1024-row plane groups into a partial last group. A stored X never
+// straddling the 64-bit plane-word boundary and at odd widths (5, 77), and
+// on tables that cross one or two 1024-row plane groups into a partial last
+// group. A stored X never
 // counts as a mismatch regardless of the key bit — the kill planes and the
 // partial-block and partial-group tails must all get this right, since
 // similarity search (nearestK / thresholdMatch) is built on these counts.
 TEST(MatchBackend, MismatchCountsWildcardRowsAtWordBoundaries) {
     numeric::Rng rng(4242);
     std::vector<std::pair<int, std::int64_t>> cases;
-    for (const int bits : {63, 64, 65, 127, 128, 129})
+    for (const int bits : {5, 63, 64, 65, 77, 127, 128, 129})
         cases.emplace_back(bits, 70);  // one full 64-row block + a tail
+    for (const int bits : {5, 77}) cases.emplace_back(bits, 1030);
     for (const std::int64_t rows : {1030, 2100})
         for (const int bits : {64, 256}) cases.emplace_back(bits, rows);
     for (const auto& [bits, rows] : cases) {
