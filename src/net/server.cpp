@@ -75,6 +75,11 @@ double nextWake(double now, const LoopDeadlines& deadlines, const ServerOptions&
     return next;
 }
 
+double flushBy(double now, std::optional<double> previousArrival, const ServerOptions& options) {
+    if (previousArrival && *previousArrival + options.coalesceWindow <= now) return now;
+    return now + options.coalesceWindow;
+}
+
 timespec waitTimeout(double now, double deadline) {
     constexpr long kNanosPerSecond = 1'000'000'000L;
     timespec timeout{};
@@ -457,6 +462,9 @@ void Server::handleQueryBatch(int fd, const Frame& frame, double now) {
         static obs::Counter& queries = obs::counter("net.queries");
         queries.add(static_cast<long long>(batch->keys.size()));
     }
+    // Shed and drained requests count as arrivals too: they are traffic.
+    const double flushAt = flushBy(now, lastQueryArrival_, options_);
+    lastQueryArrival_ = now;
 
     // Drain refuses new work with typed sheds (the peer got a Drain frame).
     if (draining_) {
@@ -475,6 +483,7 @@ void Server::handleQueryBatch(int fd, const Frame& frame, double now) {
     req.fd = fd;
     req.requestId = batch->requestId;
     req.arrival = now;
+    req.flushBy = flushAt;
     if (batch->deadlineMicros > 0)
         req.deadline = now + static_cast<double>(batch->deadlineMicros) * 1e-6;
     else if (options_.defaultDeadline > 0.0)
@@ -484,7 +493,7 @@ void Server::handleQueryBatch(int fd, const Frame& frame, double now) {
     pending_.push_back(std::move(req));
 }
 
-void Server::executeBatch(double /*now*/) {
+void Server::executeBatch(FlushReason reason) {
     if (pending_.empty()) return;
     // Take whole requests off the front until the engine batch is full — a
     // request is never split, so each gets exactly one reply.
@@ -516,7 +525,11 @@ void Server::executeBatch(double /*now*/) {
     ++stats_.batches;
     if (obs::enabled()) {
         static obs::Counter& batches = obs::counter("net.batches");
+        static obs::Counter* flushes[] = {
+            &obs::counter("net.flush.full"), &obs::counter("net.flush.window"),
+            &obs::counter("net.flush.arrival"), &obs::counter("net.flush.drain")};
         batches.add();
+        flushes[static_cast<int>(reason)]->add();
     }
 
     if (!submitted.admitted()) {
@@ -678,13 +691,22 @@ void Server::run() {
         checkReadTimeouts(now);
 
         // Flush coalesced batches: full batches immediately; a partial batch
-        // once its oldest query has waited out the coalesce window. Draining
-        // flushes everything — in-flight work finishes, it is never dropped.
+        // once its oldest request's flushBy has come (its arrival, or the
+        // end of its coalesce window). flushBy never decreases along the
+        // queue, so checking the front is enough. Draining flushes
+        // everything — in-flight work finishes, it is never dropped.
         while (pendingQueries_ >= static_cast<std::int64_t>(options_.maxBatch))
-            executeBatch(now);
-        while (!pending_.empty() &&
-               (draining_ || pending_.front().arrival + options_.coalesceWindow <= now))
-            executeBatch(now);
+            executeBatch(FlushReason::Full);
+        while (!pending_.empty()) {
+            const Request& front = pending_.front();
+            if (front.flushBy <= now)
+                executeBatch(front.flushBy == front.arrival ? FlushReason::Arrival
+                                                            : FlushReason::Window);
+            else if (draining_)
+                executeBatch(FlushReason::Drain);
+            else
+                break;
+        }
 
         if (draining_) {
             if (drainComplete()) {

@@ -8,7 +8,9 @@
 //   * reads CRC-framed QueryBatch requests and coalesces them — across
 //     connections — into engine batches, flushed when options.maxBatch
 //     queries are waiting or the oldest request has waited
-//     options.coalesceWindow seconds, whichever is first,
+//     options.coalesceWindow seconds, whichever is first; a request that
+//     arrives a whole window or more after the previous one (on any
+//     connection) expects no batchmate and flushes on arrival (flushBy),
 //   * propagates per-request deadlines into QueryEngine::submitBatch, so
 //     expired queries are shed before any entry is scanned and answered with
 //     a typed DeadlineExceeded status,
@@ -41,11 +43,16 @@
 // *up* to the nanosecond (waitTimeout), and run() holds the loop thread's
 // timer slack at 1 ns, so a partial batch flushes within microseconds of
 // its coalesce window instead of the whole milliseconds a poll(2) timeout
-// rounds to.
+// rounds to. A request that flushes on arrival leaves in the loop iteration
+// that read it, so whatever is pending when the loop sleeps waits exactly
+// arrival + coalesceWindow: sparse traffic pays no coalesce wait, dense
+// traffic (gaps below the window) batches as before.
 //
 // obs metrics (when obs::enabled()): net.connections.accepted/.dropped,
 // net.frames.in/.out, net.queries, net.hits, net.shed,
-// net.deadline_expired, net.proto_errors, net.batches counters, a
+// net.deadline_expired, net.proto_errors, net.batches counters, one
+// net.flush.{full,window,arrival,drain} counter per flushed batch (why it
+// flushed: maxBatch reached, window waited out, arrived alone, drain), a
 // net.request.seconds histogram (receipt -> reply queued) and a
 // net.loop.oversleep.seconds histogram (how late the loop woke past the
 // deadline it slept toward).
@@ -76,6 +83,8 @@ struct ServerOptions {
     /// Queries per coalesced engine batch (and per-request ceiling).
     std::uint32_t maxBatch = 4096;
     /// Longest a query waits for batchmates before the batch flushes [s].
+    /// A request arriving at least this long after the previous one does
+    /// not wait at all (see flushBy).
     double coalesceWindow = 0.5e-3;
     /// Overload bound: pending (received, not yet executed) queries beyond
     /// this are shed immediately with typed replies.
@@ -106,6 +115,13 @@ struct LoopDeadlines {
 /// (oldestMidFrame + readTimeout), the drain bound (drainStart +
 /// drainTimeout) and the idle heartbeat (now + 0.1 s).
 double nextWake(double now, const LoopDeadlines& deadlines, const ServerOptions& options);
+
+/// Absolute time a QueryBatch arriving at `now` must flush by: `now` itself
+/// when the previous QueryBatch (on any connection) arrived at least one
+/// coalesceWindow earlier — at that spacing no batchmate is coming —
+/// otherwise, and for the first request the server sees, now +
+/// coalesceWindow.
+double flushBy(double now, std::optional<double> previousArrival, const ServerOptions& options);
 
 /// The wait from `now` until `deadline` as a ppoll(2) timeout: rounded up
 /// to the nanosecond, so a wait never ends before its deadline; zero once
@@ -195,6 +211,7 @@ private:
         int fd = -1;
         std::uint64_t requestId = 0;
         double arrival = 0.0;
+        double flushBy = 0.0;   ///< arrival or arrival + coalesceWindow (net::flushBy)
         double deadline = 0.0;  ///< absolute monotonic; 0 = none
         std::vector<tcam::TernaryWord> keys;
     };
@@ -213,7 +230,11 @@ private:
     void sendShedReply(int fd, std::uint64_t requestId, std::size_t count);
     void protoFail(int fd, ProtoError code, const std::string& message);
     void dropConn(int fd, bool countDropped);
-    void executeBatch(double now);
+    /// Why run() flushed a batch: maxBatch queries waiting, the front
+    /// request's flushBy reached after a coalesce window, reached on arrival,
+    /// or drain. Counted as net.flush.{full,window,arrival,drain}.
+    enum class FlushReason { Full, Window, Arrival, Drain };
+    void executeBatch(FlushReason reason);
     void checkReadTimeouts(double now);
     LoopDeadlines loopDeadlines() const;
     bool drainComplete() const;
@@ -228,6 +249,7 @@ private:
     double drainStart_ = 0.0;
     std::map<int, Conn> conns_;
     std::deque<Request> pending_;
+    std::optional<double> lastQueryArrival_;  ///< previous QueryBatch, any connection
     std::int64_t pendingQueries_ = 0;
     ServerStats stats_;
 };

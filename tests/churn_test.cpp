@@ -113,7 +113,9 @@ TEST(ChurnEngine, InsertRowOrderMatchesNaiveScanFromZero) {
         const auto entry = engine.entryAt(r);
         const auto& expect = naive.rows[static_cast<std::size_t>(r)];
         ASSERT_EQ(entry.has_value(), expect.has_value());
-        if (entry) EXPECT_TRUE(*entry == *expect);
+        if (entry) {
+            EXPECT_TRUE(*entry == *expect);
+        }
     }
 }
 
@@ -359,8 +361,9 @@ TEST(ChurnPersistence, WarmRestartReplaysMutatedTableBitIdentically) {
         const auto entry = warm.entryAt(r);
         const bool expect = workload.present()[static_cast<std::size_t>(r)] != 0;
         ASSERT_EQ(entry.has_value(), expect) << "row " << r;
-        if (entry)
+        if (entry) {
             EXPECT_TRUE(*entry == workload.words()[static_cast<std::size_t>(r)]);
+        }
     }
     const auto after = warm.searchBatch(keys);
     EXPECT_EQ(after.rows, before.rows);

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -841,6 +842,67 @@ TEST(NetLoopTiming, EarliestDeadlineWins) {
     d.oldestMidFrame = 96.0;
     d.oldestArrival = 100.5;
     EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 100.1);
+}
+
+TEST(NetLoopTiming, FirstArrivalWaitsTheWindow) {
+    net::ServerOptions opts;
+    opts.coalesceWindow = 0.5e-3;
+    EXPECT_DOUBLE_EQ(net::flushBy(100.0, std::nullopt, opts), 100.0 + 0.5e-3);
+}
+
+TEST(NetLoopTiming, GapOfAWholeWindowFlushesAtArrival) {
+    net::ServerOptions opts;
+    opts.coalesceWindow = 0.5e-3;
+    const double previous = 100.0;
+    const double now = previous + opts.coalesceWindow;
+    EXPECT_EQ(net::flushBy(now, previous, opts), now);
+    EXPECT_EQ(net::flushBy(now + 1.0, previous, opts), now + 1.0);
+}
+
+TEST(NetLoopTiming, GapOneNanosecondShortWaits) {
+    net::ServerOptions opts;
+    opts.coalesceWindow = 0.5e-3;
+    const double previous = 100.0;
+    const double now = previous + opts.coalesceWindow - 1e-9;
+    EXPECT_EQ(net::flushBy(now, previous, opts), now + opts.coalesceWindow);
+    EXPECT_EQ(net::flushBy(previous, previous, opts), previous + opts.coalesceWindow);
+}
+
+TEST(NetLoopTiming, ZeroWindowAlwaysFlushesAtArrival) {
+    net::ServerOptions opts;
+    opts.coalesceWindow = 0.0;
+    EXPECT_EQ(net::flushBy(100.0, std::nullopt, opts), 100.0);
+    EXPECT_EQ(net::flushBy(100.0, 100.0, opts), 100.0);
+    EXPECT_EQ(net::flushBy(100.0, 99.0, opts), 100.0);
+}
+
+TEST(NetServer, RequestArrivingAWindowAfterTheLastFlushesOnArrival) {
+    ScopedObs obsOn;
+    obs::Counter& arrival = obs::counter("net.flush.arrival");
+    obs::Counter& window = obs::counter("net.flush.window");
+    const long long arrivalBefore = arrival.value();
+    const long long windowBefore = window.value();
+    net::ServerOptions opts;
+    opts.coalesceWindow = 0.2;
+    ServerHarness h(opts);
+    net::Client client;
+    client.connect("127.0.0.1", h.port());
+
+    // A is the first request the server sees, so it waits out the window;
+    // its reply therefore leaves at least one window after A arrived, and
+    // B, sent only once that reply is read, arrives at least a window after
+    // A: B flushes on arrival. No clock is read here.
+    ASSERT_TRUE(client.query(makeBatch(1, {0}), 5.0).ok);
+    const auto b = client.query(makeBatch(2, {1}), 5.0);
+    ASSERT_TRUE(b.ok);
+    EXPECT_EQ(b.reply.rows[0], 1);
+
+    client.close();
+    h.stop();
+    EXPECT_EQ(h.stats().batches, 2);
+    EXPECT_EQ(window.value() - windowBefore, 1);
+    EXPECT_EQ(arrival.value() - arrivalBefore, 1);
+    expectAccountingInvariant(h.stats());
 }
 
 // --- table mutation over the wire (protocol v2) ----------------------------

@@ -23,7 +23,9 @@
 // generated from --seed/--entries/--word-bits (the same set fetcam_load
 // regenerates client-side). SIGTERM/SIGINT begin a graceful drain: stop
 // accepting, answer everything in flight, flush the store, then emit the
-// final report and exit 0.
+// final report and exit 0. --coalesce-us U (default 500) is the longest a
+// query waits for batchmates from other requests; a request arriving U µs or
+// more after the previous one runs at once instead of waiting.
 //
 // --backend selects the functional match implementation: the bit-plane
 // engine (64 entries per machine word, default), the scalar row-scan oracle,
@@ -497,6 +499,13 @@ void writeListenJson(const std::string& path, const net::Server& server,
            << ", \"p50\": " << (h.count() > 0 ? obs::quantile(h, 0.5) : 0.0)
            << ", \"p99\": " << (h.count() > 0 ? obs::quantile(h, 0.99) : 0.0) << "},\n";
     }
+    // Why each batch flushed; the four counts sum to deterministic.server.batches.
+    const auto flushes = [](const char* reason) {
+        return obs::counter(std::string("net.flush.") + reason).value();
+    };
+    os << "    \"flushes\": {\"full\": " << flushes("full") << ", \"window\": " << flushes("window")
+       << ", \"arrival\": " << flushes("arrival") << ", \"drain\": " << flushes("drain")
+       << "},\n";
     os << "    \"cache\": {\"entries\": " << cs.entries << ", \"hits\": " << cs.hits
        << ", \"misses\": " << cs.misses << "},\n";
     os << "    \"store\": {\"attached\": " << (ss.attached ? "true" : "false")
