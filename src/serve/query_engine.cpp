@@ -52,7 +52,7 @@ QueryEngine::QueryEngine(EngineOptions options, std::shared_ptr<Characterization
     // the table; the last chunk holds the remainder.
     std::vector<std::unique_ptr<MatchBackend>> chunks;
     for (std::int64_t begin = 0; begin < capacity_; begin += kChunkRows)
-        chunks.push_back(makeMatchBackend(options_.backend,
+        chunks.push_back(makeMatchBackend(MatchBackendKind::BitPlane,
                                           std::min(kChunkRows, capacity_ - begin),
                                           options_.shard.wordBits));
 
@@ -287,7 +287,7 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
         std::vector<PreparedKey> prepared;
         prepared.reserve(static_cast<std::size_t>(hi - lo));
         for (std::int64_t i = lo; i < hi; ++i)
-            prepared.push_back(chunks[0]->prepare(keys[static_cast<std::size_t>(i)]));
+            prepared.push_back(MatchBackend::prepare(keys[static_cast<std::size_t>(i)]));
         for (std::size_t c = 0; c < chunks.size(); ++c) {
             // Chunk c holds global rows [c * kChunkRows, ...) locally.
             const auto begin = static_cast<std::int64_t>(c) * kChunkRows;
@@ -389,7 +389,7 @@ SimilarityBatchResult QueryEngine::similarityBatch(
         std::vector<sim::TopSelector> selectors;
         selectors.reserve(static_cast<std::size_t>(hi - lo));
         for (std::int64_t i = lo; i < hi; ++i) {
-            prepared.push_back(chunks[0]->prepare(keys[static_cast<std::size_t>(i)]));
+            prepared.push_back(MatchBackend::prepare(keys[static_cast<std::size_t>(i)]));
             selectors.emplace_back(options);
         }
         std::vector<std::size_t> counts(static_cast<std::size_t>(kChunkRows));
@@ -559,8 +559,7 @@ std::string QueryEngine::report() const {
     const EngineStats s = stats();
     std::ostringstream os;
     os << "serve::QueryEngine " << capacity() << " words (" << shards() << " shards x "
-       << rowsPerShard() << " rows, " << wordBits() << "b, "
-       << backendName(backendKind()) << " backend)\n";
+       << rowsPerShard() << " rows, " << wordBits() << "b, bitplane backend)\n";
     os << "  occupancy      " << occupancy() << "\n";
     os << "  queries        " << s.queries << " (" << s.hits << " hits, "
        << s.batches << " batches)\n";

@@ -18,11 +18,9 @@
 //     answer the two-level encoder gives — and every answer is independent
 //     of shard.rows; only the energy accounting follows the priced shards.
 // Incoming queries batch, and batches fan out across worker threads with
-// numeric::parallelFor (deterministic for any jobs value). The scan itself
-// runs on a pluggable MatchBackend — bit-plane (kill planes, a 1024-row
-// chunk per key bit) by default, with the scalar row-scan kept as a
-// bit-identical cross-check oracle and a checked mode that runs both (see
-// match_backend.hpp).
+// numeric::parallelFor (deterministic for any jobs value). Each chunk is a
+// MatchBackend: the 2FeFET cell's kill planes, the whole 1024-row chunk
+// cleared per key bit (see match_backend.hpp).
 //
 // Concurrency: mutations are safe while batches are in flight. The table is
 // one published snapshot — a shared_ptr to an immutable vector of per-chunk
@@ -118,10 +116,8 @@ struct EngineOptions {
     /// store.dir; ignored without it.
     bool persistEntries = false;
     AdmissionOptions admission;
-    /// Functional match implementation: bit-plane (per-search-line kill
-    /// planes, one 1024-row group cleared per key bit; the default), the
-    /// scalar row-scan oracle, or checked (both, cross-asserted per query).
-    /// All three are bit-identical.
+    /// Not read by the engine: MatchBackendKind has one value, and the field
+    /// stays only because the frozen end-to-end benchmark still sets it.
     MatchBackendKind backend = MatchBackendKind::BitPlane;
     /// Bits per FeFET cell the similarity queries are priced at (the MLC
     /// ladder; 1 = binary cells). Functional similarity results never
@@ -264,7 +260,7 @@ public:
     /// per `options` (NearestK or Threshold), computed over one consistent
     /// table snapshot with the bit-sliced mismatchCounts kernel. Same
     /// determinism contract as searchBatch — bit-identical for any jobs
-    /// value, any backend, cold/warm cache, and across warm restarts.
+    /// value, cold/warm cache, and across warm restarts.
     /// Requires an FeFET shard geometry (the MLC pricing);
     /// throws SimError(InvalidSpec) otherwise or on bad options/widths.
     SimilarityBatchResult similarityBatch(const std::vector<tcam::TernaryWord>& keys,
@@ -288,7 +284,6 @@ public:
     // --- introspection ---
     std::int64_t capacity() const { return capacity_; }
     std::int64_t occupancy() const { return occupied_.load(std::memory_order_relaxed); }
-    MatchBackendKind backendKind() const { return options_.backend; }
     int wordBits() const { return options_.shard.wordBits; }
     std::int64_t shards() const { return bank_.subArrays; }
     std::int64_t rowsPerShard() const { return bank_.rowsPerArray; }

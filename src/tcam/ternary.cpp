@@ -1,5 +1,6 @@
 #include "tcam/ternary.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace fetcam::tcam {
@@ -51,7 +52,10 @@ bool TernaryWord::matches(const TernaryWord& key) const {
 std::size_t TernaryWord::mismatchCount(const TernaryWord& key) const {
     if (key.size() != size())
         throw std::invalid_argument("TernaryWord::mismatchCount: width mismatch");
-    return mismatchCountUnchecked(key);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < trits_.size(); ++i)
+        if (!tritMatches(trits_[i], key.trits_[i])) ++n;
+    return n;
 }
 
 bool TernaryWord::matchesUnchecked(const TernaryWord& key) const noexcept {
@@ -60,18 +64,21 @@ bool TernaryWord::matchesUnchecked(const TernaryWord& key) const noexcept {
     return true;
 }
 
-std::size_t TernaryWord::mismatchCountUnchecked(const TernaryWord& key) const noexcept {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < trits_.size(); ++i)
-        if (!tritMatches(trits_[i], key.trits_[i])) ++n;
-    return n;
-}
-
 std::size_t TernaryWord::wildcardCount() const {
     std::size_t n = 0;
     for (const Trit t : trits_)
         if (t == Trit::X) ++n;
     return n;
+}
+
+std::int64_t referenceFindFirst(const std::vector<std::optional<TernaryWord>>& rows,
+                                const TernaryWord& key, std::int64_t begin, std::int64_t end) {
+    end = std::min(end, static_cast<std::int64_t>(rows.size()));
+    for (std::int64_t r = begin; r < end; ++r) {
+        const auto& slot = rows[static_cast<std::size_t>(r)];
+        if (slot && slot->matches(key)) return r;
+    }
+    return -1;
 }
 
 }  // namespace fetcam::tcam

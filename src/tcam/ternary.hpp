@@ -2,6 +2,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,14 +50,9 @@ public:
     /// Throws on width mismatch.
     std::size_t mismatchCount(const TernaryWord& key) const;
 
-    /// matches() without the per-call width check: callers that validated
-    /// the key width once per batch (QueryEngine, the match backends) call
-    /// this inside the scan loop. Precondition: key.size() == size().
+    /// matches() without the per-call width check, for scan loops that
+    /// validated the key width once. Precondition: key.size() == size().
     bool matchesUnchecked(const TernaryWord& key) const noexcept;
-
-    /// mismatchCount() without the per-call width check. Precondition:
-    /// key.size() == size().
-    std::size_t mismatchCountUnchecked(const TernaryWord& key) const noexcept;
 
     /// Number of don't-care positions.
     std::size_t wildcardCount() const;
@@ -65,5 +63,14 @@ public:
 private:
     std::vector<Trit> trits_;
 };
+
+/// The reference priority scan: lowest occupied row in
+/// [begin, min(end, rows.size())) whose word matches `key`, or -1. Row at a
+/// time through TernaryWord::matches (throws on a width mismatch) over the
+/// same optional-word table sim::naiveSimilarity reads — the oracle the
+/// bit-plane kernel and the query engine are tested and benchmarked against.
+std::int64_t referenceFindFirst(const std::vector<std::optional<TernaryWord>>& rows,
+                                const TernaryWord& key, std::int64_t begin = 0,
+                                std::int64_t end = std::numeric_limits<std::int64_t>::max());
 
 }  // namespace fetcam::tcam

@@ -1,6 +1,6 @@
 // Mutation-under-load contract tests: the RCU-snapshot table, first-free-row
-// insert order, write-cost accounting, the churn workload's differential
-// bit-identity against a naive oracle, warm restart of a mutated table
+// insert order, write-cost accounting, a model-based test of every table
+// operation against the reference scan, warm restart of a mutated table
 // through the entry delta log, and the fixed-size chunk layout (chunk edges,
 // answers independent of the priced shard size).
 //
@@ -16,7 +16,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,7 +27,6 @@
 #include "apps/churn.hpp"
 #include "numeric/stats.hpp"
 #include "recover/sim_error.hpp"
-#include "serve/match_backend.hpp"
 #include "serve/query_engine.hpp"
 #include "sim/similarity.hpp"
 #include "store/char_store.hpp"
@@ -33,17 +35,24 @@
 
 using namespace fetcam;
 
+namespace fetcam::sim {
+
+/// Readable hits in failure messages.
+void PrintTo(const SimilarityHit& hit, std::ostream* os) {
+    *os << "{row " << hit.row << ", distance " << hit.distance << "}";
+}
+
+}  // namespace fetcam::sim
+
 namespace {
 
-serve::EngineOptions churnOptions(int wordBits, int shardRows, std::int64_t capacity,
-                                  serve::MatchBackendKind backend) {
+serve::EngineOptions churnOptions(int wordBits, int shardRows, std::int64_t capacity) {
     serve::EngineOptions o;
     o.shard.cell = tcam::CellKind::FeFet2;
     o.shard.sense = array::SenseScheme::LowSwing;
     o.shard.wordBits = wordBits;
     o.shard.rows = shardRows;
     o.capacity = capacity;
-    o.backend = backend;
     return o;
 }
 
@@ -55,9 +64,9 @@ tcam::TernaryWord definiteWord(std::uint64_t bits, int width) {
     return w;
 }
 
-/// The stop-the-world oracle: a plain vector of optional words, searched by
-/// linear scan-from-0. Everything the engine does must be bit-identical to
-/// this.
+/// The stop-the-world oracle: a plain vector of optional words, searched with
+/// tcam::referenceFindFirst and sim::naiveSimilarity. Everything the engine
+/// does must be bit-identical to this.
 struct NaiveTable {
     std::vector<std::optional<tcam::TernaryWord>> rows;
 
@@ -72,14 +81,16 @@ struct NaiveTable {
             }
         return -1;
     }
-
-    std::int64_t findFirst(const tcam::TernaryWord& key) const {
-        for (std::size_t r = 0; r < rows.size(); ++r)
-            if (rows[r] && rows[r]->matchesUnchecked(key))
-                return static_cast<std::int64_t>(r);
-        return -1;
-    }
 };
+
+constexpr std::int64_t kChunk = serve::QueryEngine::kChunkRows;
+/// Two full chunks and a partial third, in whole 4-row shards.
+constexpr std::int64_t kEdgeCapacity = 2500;
+static_assert(kEdgeCapacity > 2 * kChunk && kEdgeCapacity % kChunk != 0);
+static_assert(kEdgeCapacity % 4 == 0);
+/// The last row of each chunk and the first of the next.
+constexpr std::int64_t kEdgeRows[] = {kChunk - 1, kChunk, 2 * kChunk - 1,
+                                      kEdgeCapacity - 1};
 
 }  // namespace
 
@@ -88,8 +99,7 @@ struct NaiveTable {
 // ---------------------------------------------------------------------------
 
 TEST(ChurnEngine, InsertRowOrderMatchesNaiveScanFromZero) {
-    auto engine = serve::QueryEngine(
-        churnOptions(8, 4, 24, serve::MatchBackendKind::BitPlane));
+    auto engine = serve::QueryEngine(churnOptions(8, 4, 24));
     NaiveTable naive(24);
     numeric::Rng rng(7);
 
@@ -120,8 +130,7 @@ TEST(ChurnEngine, InsertRowOrderMatchesNaiveScanFromZero) {
 }
 
 TEST(ChurnEngine, InsertThrowsWhenFullAndEraseReopensTheRow) {
-    auto engine =
-        serve::QueryEngine(churnOptions(8, 4, 4, serve::MatchBackendKind::BitPlane));
+    auto engine = serve::QueryEngine(churnOptions(8, 4, 4));
     for (int i = 0; i < 4; ++i)
         engine.insert(definiteWord(static_cast<std::uint64_t>(i), 8));
     EXPECT_THROW(engine.insert(definiteWord(99, 8)), std::length_error);
@@ -134,8 +143,7 @@ TEST(ChurnEngine, InsertThrowsWhenFullAndEraseReopensTheRow) {
 // ---------------------------------------------------------------------------
 
 TEST(ChurnEngine, EntryAtIsASnapshotSurvivingMutation) {
-    auto engine =
-        serve::QueryEngine(churnOptions(8, 4, 8, serve::MatchBackendKind::BitPlane));
+    auto engine = serve::QueryEngine(churnOptions(8, 4, 8));
     const auto word = definiteWord(0xA5, 8);
     engine.insertAt(3, word);
 
@@ -155,7 +163,7 @@ TEST(ChurnEngine, EntryAtIsASnapshotSurvivingMutation) {
 // ---------------------------------------------------------------------------
 
 TEST(ChurnEngine, MutationsAreChargedThePlannedWordWriteCost) {
-    auto options = churnOptions(8, 4, 12, serve::MatchBackendKind::BitPlane);
+    auto options = churnOptions(8, 4, 12);
     serve::QueryEngine engine(options);
 
     engine.insert(definiteWord(1, 8));
@@ -189,55 +197,270 @@ TEST(ChurnEngine, MutationsAreChargedThePlannedWordWriteCost) {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole: differential churn fuzz — every backend, widths straddling the
-// 64-bit plane boundary, all-X rows — against the naive oracle.
+// Model-based oracle test: seeded random sequences of every table operation —
+// insert, insertAt, erase, searchBatch, nearestK, thresholdMatch, and
+// compactTable followed by a warm restart from the delta log — on a table
+// that crosses two chunk edges into a partial chunk, at widths straddling the
+// 64-bit plane words and at jobs 1, 2 and 4, each step checked against the
+// optional-word reference. A failure prints the seed and every operation up
+// to the failing one.
 // ---------------------------------------------------------------------------
 
-TEST(ChurnFuzz, AllBackendsAndWidthsStayBitIdenticalToOracle) {
-    const serve::MatchBackendKind backends[] = {serve::MatchBackendKind::Scalar,
-                                                serve::MatchBackendKind::BitPlane,
-                                                serve::MatchBackendKind::Checked};
-    const int widths[] = {1, 63, 64, 65, 130};
+namespace {
 
-    for (const auto backend : backends) {
-        for (const int width : widths) {
-            apps::ChurnSpec spec;
-            spec.rows = 24;
-            spec.wordBits = width;
-            spec.wildcardFraction = 0.3;
-            spec.allWildcardFraction = 0.1;  // force match-everything rows in
-            spec.seed = 11 + static_cast<std::uint64_t>(width);
-            apps::ChurnWorkload workload(spec);
+tcam::TernaryWord randomTernary(numeric::Rng& rng, int width, double xDensity) {
+    tcam::TernaryWord w(static_cast<std::size_t>(width));
+    for (std::size_t b = 0; b < w.size(); ++b)
+        w[b] = rng.uniform() < xDensity
+                   ? tcam::Trit::X
+                   : (rng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero);
+    return w;
+}
 
-            auto engine = serve::QueryEngine(
-                churnOptions(width, 4, spec.rows, backend));
-            NaiveTable naive(spec.rows);
-            for (std::int64_t r = 0; r < spec.rows; ++r) {
-                engine.insertAt(r, workload.words()[static_cast<std::size_t>(r)]);
-                naive.rows[static_cast<std::size_t>(r)] =
-                    workload.words()[static_cast<std::size_t>(r)];
-            }
+/// What QueryEngine::nearestK asks the selector for.
+sim::SimilarityOptions nearestOptions(int k) {
+    sim::SimilarityOptions o;
+    o.k = k;
+    o.maxResults = std::max(o.maxResults, static_cast<std::size_t>(k));
+    return o;
+}
 
-            for (int round = 0; round < 6; ++round) {
-                for (int i = 0; i < 10; ++i) {
-                    const auto op = workload.next();
-                    if (op.insert) {
-                        engine.insertAt(op.row, op.word);
-                        naive.rows[static_cast<std::size_t>(op.row)] = op.word;
-                    } else {
-                        engine.erase(op.row);
-                        naive.rows[static_cast<std::size_t>(op.row)].reset();
-                    }
+sim::SimilarityOptions withinOptions(std::size_t maxDistance) {
+    sim::SimilarityOptions o;
+    o.kind = sim::SimilarityKind::Threshold;
+    o.maxDistance = maxDistance;
+    return o;
+}
+
+/// One seeded operation sequence against a persisted engine and the
+/// reference table. The only all-X (match-everything) row the sequence ever
+/// stores is the catch-all at the last row, so a search whose only match is
+/// a chunk's last row still reaches it.
+class OracleRun {
+public:
+    static constexpr int kSteps = 48;
+    static constexpr int kRestartEvery = 16;  ///< compact + warm restart
+    static constexpr std::size_t kKeys = 12;  ///< per batch: 3 tiles of 4
+
+    OracleRun(int width, std::uint64_t seed, std::shared_ptr<serve::CharacterizationCache> cache,
+              const std::string& dir)
+        : width_(width), seed_(seed), rng_(seed), cache_(std::move(cache)),
+          options_(churnOptions(width, 4, kEdgeCapacity)), naive_(kEdgeCapacity) {
+        options_.batchSize = 4;  // several tiles per batch, so jobs fan out
+        options_.store.dir = dir;
+        options_.persistEntries = true;
+    }
+
+    void run() {
+        engine_.emplace(options_, cache_);
+        for (std::int64_t r = 0; r < kEdgeCapacity; ++r)
+            if (rng_.bernoulli(0.5)) store(r, randomTernary(rng_, width_, 0.3));
+        log_.push_back("fill: every row kept with p=0.5");
+        for (int step = 0; step < kSteps; ++step) {
+            const int jobs = kJobs[step % 3];
+            if (step % kRestartEvery == kRestartEvery - 1) {
+                compactAndRestart();
+            } else {
+                const double u = rng_.uniform();
+                if (u < 0.15) {
+                    insertFirstFree();
+                } else if (u < 0.35) {
+                    insertAt();
+                } else if (u < 0.50) {
+                    erase();
+                } else if (u < 0.65) {
+                    searchBatch(jobs);
+                } else if (u < 0.75) {
+                    nearestK(jobs);
+                } else if (u < 0.85) {
+                    thresholdMatch(jobs);
+                } else {
+                    nearestKTieAtChunkEdge();
                 }
-                const auto keys = workload.queryStream(
-                    32, 0.6, spec.seed + 1000 + static_cast<std::uint64_t>(round));
-                const auto result = engine.searchBatch(keys);
-                for (std::size_t q = 0; q < keys.size(); ++q)
-                    ASSERT_EQ(result.rows[q], naive.findFirst(keys[q]))
-                        << serve::backendName(backend) << " width " << width
-                        << " round " << round << " query " << q;
+            }
+            if (::testing::Test::HasFatalFailure()) return;
+        }
+    }
+
+private:
+    static constexpr int kJobs[] = {1, 2, 4};
+
+    std::string history() const {
+        std::string out = "seed " + std::to_string(seed_) + ", width " +
+                          std::to_string(width_) + ", operations so far:\n";
+        for (std::size_t i = 0; i < log_.size(); ++i)
+            out += "  " + std::to_string(i) + ": " + log_[i] + "\n";
+        return out;
+    }
+
+    std::int64_t pickRow() {
+        if (rng_.bernoulli(0.4))
+            return kEdgeRows[rng_.uniformInt(0, static_cast<int>(std::size(kEdgeRows)) - 1)];
+        return rng_.uniformInt(0, static_cast<int>(kEdgeCapacity) - 1);
+    }
+
+    void store(std::int64_t row, const tcam::TernaryWord& word) {
+        engine_->insertAt(row, word);
+        naive_.rows[static_cast<std::size_t>(row)] = word;
+    }
+
+    /// Search keys: random definite words, stored rows with their X trits
+    /// filled in (so they hit), and keys with X trits of their own.
+    std::vector<tcam::TernaryWord> keys() {
+        std::vector<tcam::TernaryWord> out;
+        for (std::size_t i = 0; i < kKeys; ++i) {
+            const auto& stored = naive_.rows[static_cast<std::size_t>(pickRow())];
+            if (i % 3 == 1 && stored) {
+                auto key = *stored;
+                for (std::size_t b = 0; b < key.size(); ++b)
+                    if (key[b] == tcam::Trit::X)
+                        key[b] = rng_.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
+                out.push_back(std::move(key));
+            } else {
+                out.push_back(randomTernary(rng_, width_, i % 3 == 2 ? 0.2 : 0.0));
             }
         }
+        return out;
+    }
+
+    static std::string listOf(const std::vector<tcam::TernaryWord>& keys) {
+        std::string out;
+        for (const auto& k : keys) out += " " + k.toString();
+        return out;
+    }
+
+    void insertFirstFree() {
+        const auto word = randomTernary(rng_, width_, 0.3);
+        log_.push_back("insert " + word.toString());
+        const std::int64_t want = naive_.insert(word);
+        ASSERT_EQ(engine_->insert(word), want) << history();
+        ASSERT_EQ(engine_->occupancy(), occupied()) << history();
+    }
+
+    void insertAt() {
+        const std::int64_t row = pickRow();
+        const bool catchAll = row == kEdgeCapacity - 1 && rng_.bernoulli(0.5);
+        const auto word = catchAll ? tcam::TernaryWord(static_cast<std::size_t>(width_))
+                                   : randomTernary(rng_, width_, 0.3);
+        log_.push_back("insertAt " + std::to_string(row) + " " + word.toString());
+        store(row, word);
+        ASSERT_EQ(engine_->occupancy(), occupied()) << history();
+    }
+
+    void erase() {
+        const std::int64_t row = pickRow();
+        log_.push_back("erase " + std::to_string(row));
+        engine_->erase(row);
+        naive_.rows[static_cast<std::size_t>(row)].reset();
+        ASSERT_EQ(engine_->occupancy(), occupied()) << history();
+    }
+
+    void searchBatch(int jobs) {
+        const auto batch = keys();
+        log_.push_back("searchBatch jobs=" + std::to_string(jobs) + listOf(batch));
+        const auto result = engine_->searchBatch(batch, jobs);
+        std::int64_t hits = 0;
+        for (std::size_t q = 0; q < batch.size(); ++q) {
+            const std::int64_t want = tcam::referenceFindFirst(naive_.rows, batch[q]);
+            ASSERT_EQ(result.rows[q], want) << "key " << q << "\n" << history();
+            hits += want >= 0;
+        }
+        ASSERT_EQ(result.hits, hits) << history();
+    }
+
+    /// A similarity batch at `jobs`, then the single-key convenience on its
+    /// first key, both against sim::naiveSimilarity.
+    void similarity(const char* name, const sim::SimilarityOptions& options, int jobs,
+                    const std::vector<tcam::TernaryWord>& batch) {
+        const auto result = engine_->similarityBatch(batch, options, jobs);
+        for (std::size_t q = 0; q < batch.size(); ++q)
+            ASSERT_EQ(result.hits[q], sim::naiveSimilarity(naive_.rows, batch[q], options))
+                << name << " key " << q << "\n" << history();
+        const auto single = options.kind == sim::SimilarityKind::NearestK
+                                ? engine_->nearestK(batch[0], options.k)
+                                : engine_->thresholdMatch(batch[0], options.maxDistance);
+        ASSERT_EQ(single, sim::naiveSimilarity(naive_.rows, batch[0], options))
+            << name << " single key\n" << history();
+    }
+
+    void nearestK(int jobs) {
+        const int k = rng_.uniformInt(1, 8);
+        const auto batch = keys();
+        log_.push_back("nearestK k=" + std::to_string(k) + " jobs=" + std::to_string(jobs) +
+                       listOf(batch));
+        similarity("nearestK", nearestOptions(k), jobs, batch);
+    }
+
+    void thresholdMatch(int jobs) {
+        const auto d = static_cast<std::size_t>(rng_.uniformInt(0, std::max(1, width_ / 8)));
+        const auto batch = keys();
+        log_.push_back("thresholdMatch d=" + std::to_string(d) + " jobs=" +
+                       std::to_string(jobs) + listOf(batch));
+        similarity("thresholdMatch", withinOptions(d), jobs, batch);
+    }
+
+    /// The same word at the last row of chunk 0 and the first of chunk 1,
+    /// then a nearest-k whose cut falls between them: the distance-0 tie must
+    /// go to the lower row, across the chunk edge.
+    void nearestKTieAtChunkEdge() {
+        const auto word = randomTernary(rng_, width_, 0.3);
+        log_.push_back("insertAt " + std::to_string(kChunk - 1) + " and " +
+                       std::to_string(kChunk) + " " + word.toString());
+        store(kChunk - 1, word);
+        store(kChunk, word);
+        int k = 1;
+        for (std::int64_t r = 0; r < kChunk - 1; ++r) {
+            const auto& row = naive_.rows[static_cast<std::size_t>(r)];
+            k += row && row->mismatchCount(word) == 0;
+        }
+        log_.push_back("nearestK k=" + std::to_string(k) + " jobs=1 " + word.toString());
+        const auto hits = engine_->nearestK(word, k);
+        ASSERT_EQ(hits, sim::naiveSimilarity(naive_.rows, word, nearestOptions(k))) << history();
+        ASSERT_EQ(hits.back().row, kChunk - 1) << history();
+    }
+
+    void compactAndRestart() {
+        log_.push_back("compactTable, then warm restart");
+        ASSERT_TRUE(engine_->compactTable()) << history();
+        engine_.reset();
+        engine_.emplace(options_, cache_);
+        ASSERT_FALSE(engine_->tableLogStatus().degraded) << history();
+        ASSERT_EQ(engine_->occupancy(), occupied()) << history();
+        ASSERT_EQ(engine_->restoredMutations(), occupied()) << history();  // compacted
+        for (std::int64_t r = 0; r < kEdgeCapacity; ++r)
+            ASSERT_EQ(engine_->entryAt(r), naive_.rows[static_cast<std::size_t>(r)])
+                << "row " << r << "\n" << history();
+    }
+
+    std::int64_t occupied() const {
+        return std::count_if(naive_.rows.begin(), naive_.rows.end(),
+                             [](const auto& w) { return w.has_value(); });
+    }
+
+    int width_;
+    std::uint64_t seed_;
+    numeric::Rng rng_;
+    std::shared_ptr<serve::CharacterizationCache> cache_;
+    serve::EngineOptions options_;
+    NaiveTable naive_;
+    std::optional<serve::QueryEngine> engine_;
+    std::vector<std::string> log_;
+};
+
+}  // namespace
+
+TEST(ChurnFuzz, ModelBasedOpsStayBitIdenticalToReference) {
+    namespace fs = std::filesystem;
+    const auto cache = std::make_shared<serve::CharacterizationCache>();
+    for (const int width : {1, 63, 64, 65, 127, 128, 129}) {
+        SCOPED_TRACE(width);
+        const std::string dir =
+            (fs::temp_directory_path() / ("fetcam_churn_test_oracle_" + std::to_string(width)))
+                .string();
+        fs::remove_all(dir);
+        OracleRun(width, 2026 + static_cast<std::uint64_t>(width), cache, dir).run();
+        fs::remove_all(dir);
+        if (HasFatalFailure()) return;
     }
 }
 
@@ -254,8 +477,7 @@ TEST(ChurnConcurrency, ConcurrentSearchResultsAreValidAtSomeMutationPoint) {
     // absent) — anything else (a torn row, a mixed shard view, -1) is a bug.
     constexpr std::int64_t kFlap = 2;
     constexpr std::int64_t kFallback = 13;  // second shard: crosses a shard swap
-    auto engine =
-        serve::QueryEngine(churnOptions(16, 8, 16, serve::MatchBackendKind::BitPlane));
+    auto engine = serve::QueryEngine(churnOptions(16, 8, 16));
 
     tcam::TernaryWord flapWord(16, tcam::Trit::X);
     flapWord[0] = tcam::Trit::One;
@@ -316,7 +538,7 @@ TEST(ChurnPersistence, WarmRestartReplaysMutatedTableBitIdentically) {
         (fs::temp_directory_path() / "fetcam_churn_test_store").string();
     fs::remove_all(dir);
 
-    auto options = churnOptions(16, 4, 16, serve::MatchBackendKind::BitPlane);
+    auto options = churnOptions(16, 4, 16);
     options.store.dir = dir;
     options.persistEntries = true;
 
@@ -385,7 +607,7 @@ TEST(ChurnPersistence, CompactTableSnapshotsOccupiedRowsOnly) {
         (fs::temp_directory_path() / "fetcam_churn_test_compact").string();
     fs::remove_all(dir);
 
-    auto options = churnOptions(8, 4, 8, serve::MatchBackendKind::BitPlane);
+    auto options = churnOptions(8, 4, 8);
     options.store.dir = dir;
     options.persistEntries = true;
 
@@ -449,7 +671,7 @@ TEST(ChurnPersistence, GoldenTableLogBytes) {
         (fs::temp_directory_path() / "fetcam_churn_test_golden").string();
     fs::remove_all(dir);
 
-    auto options = churnOptions(8, 4, 8, serve::MatchBackendKind::BitPlane);
+    auto options = churnOptions(8, 4, 8);
     options.store.dir = dir;
     options.persistEntries = true;
     serve::QueryEngine engine(options, std::make_shared<serve::CharacterizationCache>());
@@ -512,7 +734,7 @@ protected:
     void TearDown() override { std::filesystem::remove_all(dir_); }
 
     serve::EngineOptions options(int wordBits, std::int64_t capacity) const {
-        auto o = churnOptions(wordBits, 4, capacity, serve::MatchBackendKind::BitPlane);
+        auto o = churnOptions(wordBits, 4, capacity);
         o.store.dir = dir_;
         o.persistEntries = true;
         return o;
@@ -614,7 +836,7 @@ TEST(ChurnPersistence, CompactedEmptyTableReopensAsLoadedNotFresh) {
         (fs::temp_directory_path() / "fetcam_churn_test_compact_empty").string();
     fs::remove_all(dir);
 
-    auto options = churnOptions(8, 4, 8, serve::MatchBackendKind::BitPlane);
+    auto options = churnOptions(8, 4, 8);
     options.store.dir = dir;
     options.persistEntries = true;
     const auto cache = std::make_shared<serve::CharacterizationCache>();
@@ -671,17 +893,6 @@ TEST(ChurnWorkload, IsSeedDeterministic) {
 
 namespace {
 
-constexpr std::int64_t kChunk = serve::QueryEngine::kChunkRows;
-/// Two full chunks and a partial third, in whole 4-row shards.
-constexpr std::int64_t kEdgeCapacity = 2500;
-static_assert(kEdgeCapacity > 2 * kChunk && kEdgeCapacity % kChunk != 0);
-static_assert(kEdgeCapacity % 4 == 0);
-constexpr std::int64_t kEdgeRows[] = {kChunk - 1, kChunk, 2 * kChunk - 1,
-                                      kEdgeCapacity - 1};
-constexpr serve::MatchBackendKind kAllBackends[] = {serve::MatchBackendKind::Scalar,
-                                                    serve::MatchBackendKind::BitPlane,
-                                                    serve::MatchBackendKind::Checked};
-
 /// Edge words have the top bit 0 and fillers have it 1, so kAnyEdge
 /// matches exactly the rows holding edge words.
 tcam::TernaryWord edgeWord(std::size_t j) { return tcam::TernaryWord::fromBits(j + 1, 16); }
@@ -734,136 +945,127 @@ void expectSearchMatchesNaive(serve::QueryEngine& engine, const NaiveTable& naiv
     const auto keys = edgeKeys();
     const auto result = engine.searchBatch(keys);
     for (std::size_t q = 0; q < keys.size(); ++q)
-        EXPECT_EQ(result.rows[q], naive.findFirst(keys[q])) << "query " << q;
+        EXPECT_EQ(result.rows[q], tcam::referenceFindFirst(naive.rows, keys[q])) << "query " << q;
 }
 
 }  // namespace
 
 TEST(ChunkLayout, PriorityInsertAndEraseAcrossChunkEdges) {
-    for (const auto backend : kAllBackends) {
-        SCOPED_TRACE(serve::backendName(backend));
-        serve::QueryEngine engine(churnOptions(16, 4, kEdgeCapacity, backend));
-        ASSERT_EQ(engine.capacity(), kEdgeCapacity);
-        ASSERT_EQ(engine.shards(), kEdgeCapacity / 4);  // the priced geometry
-        NaiveTable naive(kEdgeCapacity);
-        populateEdgeTable(engine, naive);
-        expectTableMatchesNaive(engine, naive);
-        expectSearchMatchesNaive(engine, naive);
+    serve::QueryEngine engine(churnOptions(16, 4, kEdgeCapacity));
+    ASSERT_EQ(engine.capacity(), kEdgeCapacity);
+    ASSERT_EQ(engine.shards(), kEdgeCapacity / 4);  // the priced geometry
+    NaiveTable naive(kEdgeCapacity);
+    populateEdgeTable(engine, naive);
+    expectTableMatchesNaive(engine, naive);
+    expectSearchMatchesNaive(engine, naive);
 
-        // Each edge word answers at its own global row.
-        std::vector<tcam::TernaryWord> exact;
-        for (std::size_t j = 0; j < std::size(kEdgeRows); ++j) exact.push_back(edgeWord(j));
-        const auto hits = engine.searchBatch(exact).rows;
-        EXPECT_EQ(hits, std::vector<std::int64_t>(std::begin(kEdgeRows), std::end(kEdgeRows)));
+    // Each edge word answers at its own global row.
+    std::vector<tcam::TernaryWord> exact;
+    for (std::size_t j = 0; j < std::size(kEdgeRows); ++j) exact.push_back(edgeWord(j));
+    const auto hits = engine.searchBatch(exact).rows;
+    EXPECT_EQ(hits, std::vector<std::int64_t>(std::begin(kEdgeRows), std::end(kEdgeRows)));
 
-        // Global priority: erasing each winner hands the match to the next
-        // edge row, across both chunk edges and into the partial last chunk.
-        for (const auto row : kEdgeRows) {
-            EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], row);
-            engine.erase(row);
-            naive.rows[static_cast<std::size_t>(row)].reset();
-        }
-        EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], -1);
-
-        // insert() takes the first free row on each side of the first edge:
-        // 1023 (last of chunk 0), then 1024, then 1025.
-        for (std::int64_t want = kChunk - 1; want <= kChunk + 1; ++want) {
-            const auto word = edgeWord(static_cast<std::size_t>(want));
-            EXPECT_EQ(engine.insert(word), want);
-            EXPECT_EQ(naive.insert(word), want);
-        }
-        // With holes at 1022 and 1024, insert() refills 1022, then scans
-        // over the occupied 1023 into the next chunk.
-        for (const auto row : {kChunk - 2, kChunk}) {
-            engine.erase(row);
-            naive.rows[static_cast<std::size_t>(row)].reset();
-        }
-        EXPECT_EQ(engine.insert(fillerWord(kChunk - 2)), kChunk - 2);
-        EXPECT_EQ(naive.insert(fillerWord(kChunk - 2)), kChunk - 2);
-        EXPECT_EQ(engine.insert(edgeWord(kChunk)), kChunk);
-        EXPECT_EQ(naive.insert(edgeWord(kChunk)), kChunk);
-        EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], kChunk - 1);
-        engine.erase(kChunk - 1);
-        naive.rows[static_cast<std::size_t>(kChunk - 1)].reset();
-        EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], kChunk);
-
-        // insertAt on both sides of the second edge; the lower row wins.
-        engine.insertAt(2 * kChunk, edgeWord(7));
-        naive.rows[static_cast<std::size_t>(2 * kChunk)] = edgeWord(7);
-        engine.insertAt(2 * kChunk - 1, edgeWord(7));
-        naive.rows[static_cast<std::size_t>(2 * kChunk - 1)] = edgeWord(7);
-        EXPECT_EQ(engine.searchBatch({edgeWord(7)}).rows[0], 2 * kChunk - 1);
-        engine.erase(2 * kChunk - 1);
-        naive.rows[static_cast<std::size_t>(2 * kChunk - 1)].reset();
-        EXPECT_EQ(engine.searchBatch({edgeWord(7)}).rows[0], 2 * kChunk);
-
-        EXPECT_EQ(engine.occupancy(),
-                  std::count_if(naive.rows.begin(), naive.rows.end(),
-                                [](const auto& w) { return w.has_value(); }));
-        expectTableMatchesNaive(engine, naive);
-        expectSearchMatchesNaive(engine, naive);
+    // Global priority: erasing each winner hands the match to the next
+    // edge row, across both chunk edges and into the partial last chunk.
+    for (const auto row : kEdgeRows) {
+        EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], row);
+        engine.erase(row);
+        naive.rows[static_cast<std::size_t>(row)].reset();
     }
+    EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], -1);
+
+    // insert() takes the first free row on each side of the first edge:
+    // 1023 (last of chunk 0), then 1024, then 1025.
+    for (std::int64_t want = kChunk - 1; want <= kChunk + 1; ++want) {
+        const auto word = edgeWord(static_cast<std::size_t>(want));
+        EXPECT_EQ(engine.insert(word), want);
+        EXPECT_EQ(naive.insert(word), want);
+    }
+    // With holes at 1022 and 1024, insert() refills 1022, then scans
+    // over the occupied 1023 into the next chunk.
+    for (const auto row : {kChunk - 2, kChunk}) {
+        engine.erase(row);
+        naive.rows[static_cast<std::size_t>(row)].reset();
+    }
+    EXPECT_EQ(engine.insert(fillerWord(kChunk - 2)), kChunk - 2);
+    EXPECT_EQ(naive.insert(fillerWord(kChunk - 2)), kChunk - 2);
+    EXPECT_EQ(engine.insert(edgeWord(kChunk)), kChunk);
+    EXPECT_EQ(naive.insert(edgeWord(kChunk)), kChunk);
+    EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], kChunk - 1);
+    engine.erase(kChunk - 1);
+    naive.rows[static_cast<std::size_t>(kChunk - 1)].reset();
+    EXPECT_EQ(engine.searchBatch({kAnyEdge}).rows[0], kChunk);
+
+    // insertAt on both sides of the second edge; the lower row wins.
+    engine.insertAt(2 * kChunk, edgeWord(7));
+    naive.rows[static_cast<std::size_t>(2 * kChunk)] = edgeWord(7);
+    engine.insertAt(2 * kChunk - 1, edgeWord(7));
+    naive.rows[static_cast<std::size_t>(2 * kChunk - 1)] = edgeWord(7);
+    EXPECT_EQ(engine.searchBatch({edgeWord(7)}).rows[0], 2 * kChunk - 1);
+    engine.erase(2 * kChunk - 1);
+    naive.rows[static_cast<std::size_t>(2 * kChunk - 1)].reset();
+    EXPECT_EQ(engine.searchBatch({edgeWord(7)}).rows[0], 2 * kChunk);
+
+    EXPECT_EQ(engine.occupancy(),
+              std::count_if(naive.rows.begin(), naive.rows.end(),
+                            [](const auto& w) { return w.has_value(); }));
+    expectTableMatchesNaive(engine, naive);
+    expectSearchMatchesNaive(engine, naive);
 }
 
 TEST(ChunkLayout, SimilarityHitsAcrossChunkEdges) {
-    for (const auto backend : kAllBackends) {
-        SCOPED_TRACE(serve::backendName(backend));
-        serve::QueryEngine engine(churnOptions(16, 4, kEdgeCapacity, backend));
-        NaiveTable naive(kEdgeCapacity);
-        populateEdgeTable(engine, naive);
+    serve::QueryEngine engine(churnOptions(16, 4, kEdgeCapacity));
+    NaiveTable naive(kEdgeCapacity);
+    populateEdgeTable(engine, naive);
 
-        sim::SimilarityOptions within;
-        within.kind = sim::SimilarityKind::Threshold;
-        within.maxDistance = 2;
-        sim::SimilarityOptions nearest;
-        nearest.k = 6;
-        for (const auto& key : edgeKeys()) {
-            EXPECT_EQ(engine.nearestK(key, nearest.k),
-                      sim::naiveSimilarity(naive.rows, key, nearest));
-            EXPECT_EQ(engine.thresholdMatch(key, within.maxDistance),
-                      sim::naiveSimilarity(naive.rows, key, within));
-        }
-        // The four edge rows are kAnyEdge's only exact (distance-0) hits.
-        const auto edges = engine.thresholdMatch(kAnyEdge, 0);
-        ASSERT_EQ(edges.size(), std::size(kEdgeRows));
-        for (std::size_t j = 0; j < edges.size(); ++j) EXPECT_EQ(edges[j].row, kEdgeRows[j]);
+    sim::SimilarityOptions within;
+    within.kind = sim::SimilarityKind::Threshold;
+    within.maxDistance = 2;
+    sim::SimilarityOptions nearest;
+    nearest.k = 6;
+    for (const auto& key : edgeKeys()) {
+        EXPECT_EQ(engine.nearestK(key, nearest.k),
+                  sim::naiveSimilarity(naive.rows, key, nearest));
+        EXPECT_EQ(engine.thresholdMatch(key, within.maxDistance),
+                  sim::naiveSimilarity(naive.rows, key, within));
     }
+    // The four edge rows are kAnyEdge's only exact (distance-0) hits.
+    const auto edges = engine.thresholdMatch(kAnyEdge, 0);
+    ASSERT_EQ(edges.size(), std::size(kEdgeRows));
+    for (std::size_t j = 0; j < edges.size(); ++j) EXPECT_EQ(edges[j].row, kEdgeRows[j]);
 }
 
 TEST(ChunkLayout, CompactAndWarmRestartAcrossChunkEdges) {
     namespace fs = std::filesystem;
     const std::string dir =
         (fs::temp_directory_path() / "fetcam_churn_test_chunks").string();
-    for (const auto backend : kAllBackends) {
-        SCOPED_TRACE(serve::backendName(backend));
-        fs::remove_all(dir);
-        auto options = churnOptions(16, 4, kEdgeCapacity, backend);
-        options.store.dir = dir;
-        options.persistEntries = true;
+    fs::remove_all(dir);
+    auto options = churnOptions(16, 4, kEdgeCapacity);
+    options.store.dir = dir;
+    options.persistEntries = true;
 
-        NaiveTable naive(kEdgeCapacity);
-        {
-            serve::QueryEngine engine(options);
-            ASSERT_FALSE(engine.tableLogStatus().degraded);
-            populateEdgeTable(engine, naive);
-            for (const auto row : {kChunk - 2, kChunk, 2 * kChunk - 1}) {
-                engine.erase(row);
-                naive.rows[static_cast<std::size_t>(row)].reset();
-            }
-            ASSERT_TRUE(engine.compactTable());
-            engine.insertAt(kChunk, edgeWord(9));  // appended after the snapshot
-            naive.rows[static_cast<std::size_t>(kChunk)] = edgeWord(9);
+    NaiveTable naive(kEdgeCapacity);
+    {
+        serve::QueryEngine engine(options);
+        ASSERT_FALSE(engine.tableLogStatus().degraded);
+        populateEdgeTable(engine, naive);
+        for (const auto row : {kChunk - 2, kChunk, 2 * kChunk - 1}) {
+            engine.erase(row);
+            naive.rows[static_cast<std::size_t>(row)].reset();
         }
-
-        serve::QueryEngine warm(options);
-        ASSERT_FALSE(warm.tableLogStatus().degraded);
-        EXPECT_EQ(warm.occupancy(),
-                  std::count_if(naive.rows.begin(), naive.rows.end(),
-                                [](const auto& w) { return w.has_value(); }));
-        EXPECT_EQ(warm.restoredMutations(), warm.occupancy());  // compacted + 1 append
-        expectTableMatchesNaive(warm, naive);
-        expectSearchMatchesNaive(warm, naive);
+        ASSERT_TRUE(engine.compactTable());
+        engine.insertAt(kChunk, edgeWord(9));  // appended after the snapshot
+        naive.rows[static_cast<std::size_t>(kChunk)] = edgeWord(9);
     }
+
+    serve::QueryEngine warm(options);
+    ASSERT_FALSE(warm.tableLogStatus().degraded);
+    EXPECT_EQ(warm.occupancy(),
+              std::count_if(naive.rows.begin(), naive.rows.end(),
+                            [](const auto& w) { return w.has_value(); }));
+    EXPECT_EQ(warm.restoredMutations(), warm.occupancy());  // compacted + 1 append
+    expectTableMatchesNaive(warm, naive);
+    expectSearchMatchesNaive(warm, naive);
     fs::remove_all(dir);
 }
 
@@ -872,31 +1074,31 @@ TEST(ChunkLayout, AnswersDoNotDependOnPricedShardRows) {
     sim::SimilarityOptions nearest;
     nearest.k = 5;
     const auto keys = edgeKeys();
-    for (const auto backend : kAllBackends) {
-        SCOPED_TRACE(serve::backendName(backend));
-        std::optional<serve::BatchResult> reference;
-        std::optional<serve::SimilarityBatchResult> referenceSim;
-        for (const int shardRows : {4, 16, 1024}) {
-            SCOPED_TRACE(shardRows);
-            serve::QueryEngine engine(churnOptions(16, shardRows, kEdgeCapacity, backend),
-                                      cache);
-            EXPECT_EQ(engine.rowsPerShard(), shardRows);
-            NaiveTable naive(engine.capacity());
-            populateEdgeTable(engine, naive);
-            const auto exact = engine.searchBatch(keys, 2);
-            const auto similar = engine.similarityBatch(keys, nearest, 2);
-            if (!reference) {
-                reference = exact;
-                referenceSim = similar;
-                continue;
-            }
-            // Same rows and hits; only the priced energy/latency differ.
-            EXPECT_EQ(exact.rows, reference->rows);
-            EXPECT_EQ(exact.hits, reference->hits);
-            EXPECT_EQ(similar.hits, referenceSim->hits);
-            EXPECT_EQ(similar.rowsReturned, referenceSim->rowsReturned);
-            EXPECT_NE(exact.energy, reference->energy);
-            EXPECT_NE(similar.energy, referenceSim->energy);
+    std::optional<serve::BatchResult> first;
+    std::optional<serve::SimilarityBatchResult> firstSim;
+    for (const int shardRows : {4, 16, 1024}) {
+        SCOPED_TRACE(shardRows);
+        serve::QueryEngine engine(churnOptions(16, shardRows, kEdgeCapacity), cache);
+        EXPECT_EQ(engine.rowsPerShard(), shardRows);
+        NaiveTable naive(engine.capacity());
+        populateEdgeTable(engine, naive);
+        const auto exact = engine.searchBatch(keys, 2);
+        const auto similar = engine.similarityBatch(keys, nearest, 2);
+        for (std::size_t q = 0; q < keys.size(); ++q) {
+            EXPECT_EQ(exact.rows[q], tcam::referenceFindFirst(naive.rows, keys[q]));
+            EXPECT_EQ(similar.hits[q], sim::naiveSimilarity(naive.rows, keys[q], nearest));
         }
+        if (!first) {
+            first = exact;
+            firstSim = similar;
+            continue;
+        }
+        // Same rows and hits; only the priced energy/latency differ.
+        EXPECT_EQ(exact.rows, first->rows);
+        EXPECT_EQ(exact.hits, first->hits);
+        EXPECT_EQ(similar.hits, firstSim->hits);
+        EXPECT_EQ(similar.rowsReturned, firstSim->rowsReturned);
+        EXPECT_NE(exact.energy, first->energy);
+        EXPECT_NE(similar.energy, firstSim->energy);
     }
 }

@@ -8,7 +8,7 @@
 //      strobe equivalence t_row > strobe  <=>  d <= maxDistance, and
 //      run-to-run determinism.
 //   3. Engine — nearestK / thresholdMatch / similarityBatch bit-identical
-//      to sim::naiveSimilarity across backends, jobs, cold/warm cache,
+//      to sim::naiveSimilarity across jobs, cold/warm cache,
 //      pricing knobs, and a warm restart from the on-disk store.
 //   4. Net — Similarity codec round-trip + malformed rejection, end-to-end
 //      client/server with the accounting invariant, overload shedding,
@@ -380,28 +380,20 @@ TEST(SimEngine, BitIdenticalAcrossBackendsJobsAndWarmCache) {
     const auto nearestOracle = naiveAll(f, nearest);
     const auto withinOracle = naiveAll(f, within);
 
-    for (const auto backend : {serve::MatchBackendKind::Scalar,
-                               serve::MatchBackendKind::BitPlane,
-                               serve::MatchBackendKind::Checked}) {
-        auto options = base;
-        options.backend = backend;
-        serve::QueryEngine engine(options);
-        loadFixture(engine, f);
-        for (const int jobs : {1, 5}) {
-            const auto nk = engine.similarityBatch(f.keys, nearest, jobs);
-            const auto th = engine.similarityBatch(f.keys, within, jobs);
-            EXPECT_EQ(nk.hits, nearestOracle) << "backend " << static_cast<int>(backend)
-                                              << " jobs " << jobs;
-            EXPECT_EQ(th.hits, withinOracle) << "backend " << static_cast<int>(backend)
-                                             << " jobs " << jobs;
-        }
-        // Warm cache (second pass reuses the characterized pricing) and the
-        // single-key conveniences agree with the batched path.
-        const auto again = engine.similarityBatch(f.keys, nearest, 1);
-        EXPECT_EQ(again.hits, nearestOracle);
-        EXPECT_EQ(engine.nearestK(f.keys[0], nearest.k), nearestOracle[0]);
-        EXPECT_EQ(engine.thresholdMatch(f.keys[0], within.maxDistance), withinOracle[0]);
+    serve::QueryEngine engine(base);
+    loadFixture(engine, f);
+    for (const int jobs : {1, 5}) {
+        const auto nk = engine.similarityBatch(f.keys, nearest, jobs);
+        const auto th = engine.similarityBatch(f.keys, within, jobs);
+        EXPECT_EQ(nk.hits, nearestOracle) << "jobs " << jobs;
+        EXPECT_EQ(th.hits, withinOracle) << "jobs " << jobs;
     }
+    // Warm cache (second pass reuses the characterized pricing) and the
+    // single-key conveniences agree with the batched path.
+    const auto again = engine.similarityBatch(f.keys, nearest, 1);
+    EXPECT_EQ(again.hits, nearestOracle);
+    EXPECT_EQ(engine.nearestK(f.keys[0], nearest.k), nearestOracle[0]);
+    EXPECT_EQ(engine.thresholdMatch(f.keys[0], within.maxDistance), withinOracle[0]);
 }
 
 TEST(SimEngine, PricingKnobNeverChangesAnswers) {

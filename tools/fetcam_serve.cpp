@@ -7,7 +7,6 @@
 // Usage:
 //   fetcam_serve [--workload lpm|tlb|classifier|all] [--entries N]
 //                [--queries N] [--rows N] [--batch N] [--jobs N] [--seed S]
-//                [--backend scalar|bitplane|checked]
 //                [--store DIR] [--store-readonly] [--compact]
 //                [--json FILE] [--trace FILE]
 //   fetcam_serve --listen PORT [--host H] [--port-file FILE] [--word-bits N]
@@ -26,11 +25,6 @@
 // final report and exit 0. --coalesce-us U (default 500) is the longest a
 // query waits for batchmates from other requests; a request arriving U µs or
 // more after the previous one runs at once instead of waiting.
-//
-// --backend selects the functional match implementation: the bit-plane
-// engine (64 entries per machine word, default), the scalar row-scan oracle,
-// or checked mode (both run per query, divergence is a typed CorruptData
-// error). All three serve bit-identical results.
 //
 // Similarity frames (protocol v3 nearest-k / threshold queries, driven by
 // fetcam_load --similarity) are served from the same snapshot table;
@@ -93,7 +87,6 @@ struct Args {
     int batch = 4096;
     int jobs = 0;
     std::uint64_t seed = 42;
-    serve::MatchBackendKind backend = serve::MatchBackendKind::BitPlane;
     std::string jsonPath;
     std::string tracePath;
     std::string storeDir;
@@ -149,8 +142,6 @@ Args parseArgs(int argc, char** argv) {
                 throw recover::SimError(recover::SimErrorReason::InvalidSpec,
                                         "fetcam_serve", e.what());
             }
-        } else if (opt == "--backend") {
-            a.backend = serve::parseBackendKind(next());
         } else if (opt == "--json") {
             a.jsonPath = next();
         } else if (opt == "--trace") {
@@ -225,7 +216,6 @@ serve::EngineOptions baseOptions(const Args& a) {
     base.shard.sense = array::SenseScheme::LowSwing;
     base.shard.rows = a.rows;
     base.batchSize = a.batch;
-    base.backend = a.backend;
     return base;
 }
 
