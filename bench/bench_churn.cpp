@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -169,20 +170,13 @@ ChurnResult runChurn(std::int64_t rows, int bits, double duration, double update
             ok = !entry.has_value();
     }
     if (ok) {
+        std::vector<std::optional<tcam::TernaryWord>> expected(static_cast<std::size_t>(rows));
+        for (std::size_t row = 0; row < expected.size(); ++row)
+            if (workload.present()[row]) expected[row] = workload.words()[row];
         const auto keys = workload.queryStream(batchQueries, 0.7, seed + 999);
         const auto served = engine.searchBatch(keys, jobs);
-        for (std::size_t q = 0; q < keys.size() && ok; ++q) {
-            std::int64_t expect = -1;
-            for (std::int64_t row = 0; row < rows; ++row) {
-                if (workload.present()[static_cast<std::size_t>(row)] &&
-                    workload.words()[static_cast<std::size_t>(row)].matchesUnchecked(
-                        keys[q])) {
-                    expect = row;
-                    break;
-                }
-            }
-            ok = served.rows[q] == expect;
-        }
+        for (std::size_t q = 0; q < keys.size() && ok; ++q)
+            ok = served.rows[q] == tcam::referenceFindFirst(expected, keys[q]);
     }
 
     // --- write accounting: every mutation charged exactly one word write ---

@@ -62,8 +62,7 @@ QueryEngine::QueryEngine(EngineOptions options, std::shared_ptr<Characterization
 
     auto table = std::make_shared<Table>();
     table->reserve(chunks.size());
-    for (auto& c : chunks)
-        table->push_back(std::shared_ptr<const MatchBackend>(std::move(c)));
+    for (auto& c : chunks) table->push_back(std::move(c));
     publishTable(std::move(table));
 }
 
@@ -142,9 +141,9 @@ sim::MlcCharacterization QueryEngine::simCost() {
     return simCostLocked();
 }
 
-std::shared_ptr<const QueryEngine::Table> QueryEngine::loadTable() const {
+QueryEngine::TableSnapshot QueryEngine::loadTable() const {
     std::lock_guard<std::mutex> lock(tableMutex_);
-    return table_;
+    return TableSnapshot(table_, readers_);
 }
 
 void QueryEngine::publishTable(std::shared_ptr<const Table> next) {
@@ -156,18 +155,36 @@ void QueryEngine::publishTable(std::shared_ptr<const Table> next) {
     // reference) happens outside the lock.
 }
 
-void QueryEngine::publishMutationLocked(const Table& table, std::int64_t row,
-                                        const tcam::TernaryWord* word) {
+void QueryEngine::publishMutationLocked(std::int64_t row, const tcam::TernaryWord* word) {
     const auto chunk = static_cast<std::size_t>(row / kChunkRows);
     const std::int64_t local = row % kChunkRows;
-    auto next = std::make_shared<Table>(table);
-    auto clone = table[chunk]->clone();
-    if (word)
-        clone->set(local, *word);
-    else
-        clone->clear(local);
-    (*next)[chunk] = std::shared_ptr<const MatchBackend>(std::move(clone));
+    const auto apply = [&](MatchBackend& target) {
+        if (word)
+            target.set(local, *word);
+        else
+            target.clear(local);
+    };
+    {
+        std::lock_guard<std::mutex> lock(tableMutex_);
+        // No pinned reader: every earlier scan happened before this acquire
+        // load (each unpin is a release), no new reader can pin while the
+        // lock is held, and no root but table_ is still alive — so the chunk
+        // has no other user and is written in place.
+        if (readers_.load(std::memory_order_acquire) == 0) {
+            apply(*(*table_)[chunk]);
+            return;
+        }
+    }
+    // A reader may be scanning the chunk: clone it and publish a new root.
+    auto next = std::make_shared<Table>(*table_);
+    auto clone = (*table_)[chunk]->clone();
+    apply(*clone);
+    (*next)[chunk] = std::move(clone);
     publishTable(std::move(next));
+    if (obs::enabled()) {
+        static obs::Counter& copies = obs::counter("serve.writes.chunk_copies");
+        copies.add();
+    }
 }
 
 void QueryEngine::recordMutationLocked(std::int64_t row, const tcam::TernaryWord* word) {
@@ -202,12 +219,11 @@ std::int64_t QueryEngine::insert(const tcam::TernaryWord& word) {
         throw recover::SimError(recover::SimErrorReason::InvalidSpec,
                                 "QueryEngine::insert", "word width mismatch");
     std::lock_guard<std::mutex> lock(mutMutex_);
-    const auto table = loadTable();
     // Every row below freeHint_ is occupied (erase lowers the hint), so
     // starting the scan there assigns exactly the row a scan from 0 would.
     for (std::int64_t r = freeHint_; r < capacity_; ++r) {
-        if (chunkOf(*table, r).occupied(r % kChunkRows)) continue;
-        publishMutationLocked(*table, r, &word);
+        if (occupiedLocked(r)) continue;
+        publishMutationLocked(r, &word);
         occupied_.fetch_add(1, std::memory_order_relaxed);
         freeHint_ = r + 1;
         recordMutationLocked(r, &word);
@@ -222,9 +238,8 @@ void QueryEngine::insertAt(std::int64_t row, const tcam::TernaryWord& word) {
         throw recover::SimError(recover::SimErrorReason::InvalidSpec,
                                 "QueryEngine::insertAt", "word width mismatch");
     std::lock_guard<std::mutex> lock(mutMutex_);
-    const auto table = loadTable();
-    const bool wasEmpty = !chunkOf(*table, row).occupied(row % kChunkRows);
-    publishMutationLocked(*table, row, &word);
+    const bool wasEmpty = !occupiedLocked(row);
+    publishMutationLocked(row, &word);
     if (wasEmpty) occupied_.fetch_add(1, std::memory_order_relaxed);
     // Overwriting an occupied row is still a full word program — charge it.
     recordMutationLocked(row, &word);
@@ -233,10 +248,9 @@ void QueryEngine::insertAt(std::int64_t row, const tcam::TernaryWord& word) {
 void QueryEngine::erase(std::int64_t row) {
     checkRow(row);
     std::lock_guard<std::mutex> lock(mutMutex_);
-    const auto table = loadTable();
-    if (!chunkOf(*table, row).occupied(row % kChunkRows))
+    if (!occupiedLocked(row))
         return;  // no-op: nothing stored, nothing charged, nothing logged
-    publishMutationLocked(*table, row, nullptr);
+    publishMutationLocked(row, nullptr);
     occupied_.fetch_sub(1, std::memory_order_relaxed);
     freeHint_ = std::min(freeHint_, row);
     recordMutationLocked(row, nullptr);
@@ -260,10 +274,10 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
             throw recover::SimError(recover::SimErrorReason::InvalidSpec,
                                     "QueryEngine::searchBatch", "key width mismatch");
 
-    // One root load per batch: every tile and every chunk scan below sees
+    // One root pin per batch: every tile and every chunk scan below sees
     // the same table version, however many mutations land meanwhile — the
     // result is always valid at a single point in the mutation order.
-    const std::shared_ptr<const Table> table = loadTable();
+    const TableSnapshot table = loadTable();
     const Table& chunks = *table;
 
     const bool obsOn = obs::enabled();
@@ -360,9 +374,9 @@ SimilarityBatchResult QueryEngine::similarityBatch(
     // the fan-out keeps the parallel region free of cache traffic.
     const sim::MlcCharacterization cost = simCost();
 
-    // One root load per batch — every tile and chunk scan sees the same
+    // One root pin per batch — every tile and chunk scan sees the same
     // table version (see searchBatchMasked).
-    const std::shared_ptr<const Table> table = loadTable();
+    const TableSnapshot table = loadTable();
     const Table& chunks = *table;
 
     const bool obsOn = obs::enabled();
@@ -541,11 +555,10 @@ void QueryEngine::flushTable() {
 bool QueryEngine::compactTable() {
     std::lock_guard<std::mutex> lock(mutMutex_);
     if (!tableLog_.writable()) return false;
-    const auto table = loadTable();
     std::vector<store::Record> records;
     records.reserve(static_cast<std::size_t>(occupied_.load(std::memory_order_relaxed)));
     for (std::int64_t row = 0; row < capacity_; ++row)
-        if (const auto entry = chunkOf(*table, row).at(row % kChunkRows))
+        if (const auto entry = chunkOf(*table_, row).at(row % kChunkRows))
             records.push_back(packDelta(row, &*entry));
     return tableLog_.compact(records);
 }

@@ -23,21 +23,28 @@
 // cleared per key bit (see match_backend.hpp).
 //
 // Concurrency: mutations are safe while batches are in flight. The table is
-// one published snapshot — a shared_ptr to an immutable vector of per-chunk
-// MatchBackend snapshots. A search copies that root pointer once per batch
-// (under a leaf mutex held only for the copy) and scans a fully consistent
-// version of every chunk; a mutation (serialized by a writer mutex) clones
-// only the affected chunk and swaps the root under that same leaf mutex, so
-// readers wait at most for a pointer swap, never for a clone or a scan.
+// one published root — a shared_ptr to a vector of per-chunk MatchBackend
+// snapshots. A search pins that root once per batch (under a leaf mutex held
+// only for the pin) and scans a fully consistent version of every chunk.
+// Mutations are serialized by a writer mutex and, like Arc::make_mut, copy
+// only what a reader can see: while some reader is pinned, a mutation clones
+// the affected chunk and swaps in a new root (counted in the
+// serve.writes.chunk_copies obs counter); while none is, the current root is
+// the only live one and the mutation writes the row in place, under the same
+// leaf mutex so no reader can pin it half-written. Readers therefore wait at
+// most for a pointer swap or a single-row write, never for a clone or a scan.
+// The pin count is an atomic whose release decrement (after the reader has
+// dropped its root) pairs with the writer's acquire load, so every scan of a
+// chunk happens before an in-place write to it.
 // Publishing the whole table through a single root — rather than one
 // pointer per chunk — is what makes a cross-chunk search linearizable: with
 // per-chunk pointers an ascending scan could mix chunk versions and report
 // a result that was valid at no single point in the mutation order.
-// Retired snapshots are reclaimed by shared_ptr refcounts once the last
-// in-flight batch drops them (RCU with reference counting standing in for
-// grace periods). Lock order: mutMutex_ before statsMutex_; searches take
-// only statsMutex_ and the table-root mutex, a leaf lock held only for a
-// pointer copy or swap.
+// Retired roots and chunks are reclaimed by shared_ptr refcounts once the
+// last pinned batch drops them (RCU with reference counting standing in for
+// grace periods). Lock order: mutMutex_ before statsMutex_ and tableMutex_;
+// searches take only statsMutex_ and tableMutex_, a leaf lock held only for
+// a pin, a pointer swap or a one-row write.
 //
 // Write costing: every effective mutation is charged its real program/erase
 // cost — tcam::measureWriteEnergy per bit (served through the
@@ -67,9 +74,11 @@
 //
 // obs integration (when obs::enabled()): serve.queries / serve.hits /
 // serve.batches counters, serve.admission.accepted / serve.admission.shed,
-// serve.writes.inserts / serve.writes.erases, a serve.write.energy gauge,
-// serve.qps, a serve.batch.seconds histogram, serve.cache.* from the
-// underlying cache, and store.* from its persistent backing.
+// serve.writes.inserts / serve.writes.erases / serve.writes.chunk_copies
+// (mutations that cloned a chunk because a reader was pinned), a
+// serve.write.energy gauge, serve.qps, a serve.batch.seconds histogram,
+// serve.cache.* from the underlying cache, and store.* from its persistent
+// backing.
 #pragma once
 
 #include <atomic>
@@ -210,7 +219,8 @@ public:
 
     /// Rows per storage chunk — the scan and copy-on-write unit, exactly one
     /// bit-plane group, independent of the priced shard.rows. A mutation
-    /// clones one chunk; the last chunk holds the capacity's remainder.
+    /// clones at most one chunk; the last chunk holds the capacity's
+    /// remainder.
     static constexpr std::int64_t kChunkRows = 64 * tcam::TernaryPlanes::kGroupBlocks;
 
     /// Characterizes the bank up front through `cache` (shared across
@@ -221,8 +231,9 @@ public:
                          std::shared_ptr<CharacterizationCache> cache = {});
 
     // --- entry management (global row index = priority, lowest wins) ---
-    // Safe to call while batches are in flight: mutations publish a new
-    // table snapshot; searches keep scanning the one they loaded.
+    // Safe to call while batches are in flight: a mutation that a pinned
+    // search could see publishes a new table snapshot; searches keep
+    // scanning the one they pinned.
     std::int64_t insert(const tcam::TernaryWord& word);  ///< first free row
     void insertAt(std::int64_t row, const tcam::TernaryWord& word);
     void erase(std::int64_t row);
@@ -320,10 +331,36 @@ public:
     std::string report() const;
 
 private:
-    /// The published table: one immutable snapshot per kChunkRows chunk.
-    /// Readers load the root once per batch; writers clone-and-swap under
-    /// mutMutex_.
-    using Table = std::vector<std::shared_ptr<const MatchBackend>>;
+    /// The published table: one chunk per kChunkRows rows. Readers see it
+    /// only through a pinned TableSnapshot; writers (under mutMutex_) read
+    /// table_ directly and write a chunk in place or clone it
+    /// (publishMutationLocked).
+    using Table = std::vector<std::shared_ptr<MatchBackend>>;
+
+    /// A reader's pin on one root: counted in the engine's reader count for
+    /// as long as it lives, so a writer knows whether any reader can see a
+    /// chunk. Made only by loadTable(), under tableMutex_, which orders the
+    /// relaxed increment against a writer's check of the count.
+    class TableSnapshot {
+    public:
+        TableSnapshot(std::shared_ptr<const Table> root, std::atomic<std::int64_t>& readers)
+            : root_(std::move(root)), readers_(readers) {
+            readers_.fetch_add(1, std::memory_order_relaxed);
+        }
+        TableSnapshot(const TableSnapshot&) = delete;
+        TableSnapshot& operator=(const TableSnapshot&) = delete;
+        /// Drops the root first, then unpins with release: a writer that
+        /// reads the count as 0 (acquire) sees every scan as finished.
+        ~TableSnapshot() {
+            root_.reset();
+            readers_.fetch_sub(1, std::memory_order_release);
+        }
+        const Table& operator*() const { return *root_; }
+
+    private:
+        std::shared_ptr<const Table> root_;
+        std::atomic<std::int64_t>& readers_;
+    };
 
     /// The chunk holding global `row` (its local row is row % kChunkRows).
     static const MatchBackend& chunkOf(const Table& table, std::int64_t row) {
@@ -331,18 +368,23 @@ private:
     }
 
     void checkRow(std::int64_t row) const;
-    /// The current root (a reader's one copy per batch).
-    std::shared_ptr<const Table> loadTable() const;
+    /// Pin the current root (a reader's one pin per batch).
+    TableSnapshot loadTable() const;
+    /// Whether `row` holds an entry. Caller holds mutMutex_ (writers read
+    /// table_ unpinned: only they replace it).
+    bool occupiedLocked(std::int64_t row) const {
+        return chunkOf(*table_, row).occupied(row % kChunkRows);
+    }
     /// Swap in a new root; the retired one is released outside tableMutex_.
     void publishTable(std::shared_ptr<const Table> next);
     /// searchBatch with an optional per-query skip mask (expired deadlines):
     /// masked queries get kRowDeadlineExpired without being scanned.
     BatchResult searchBatchMasked(const std::vector<tcam::TernaryWord>& keys,
                                   const std::vector<char>* expired, int jobs);
-    /// Clone the affected chunk, mutate it, publish the new table. Caller
-    /// holds mutMutex_. `word` null = clear the row.
-    void publishMutationLocked(const Table& table, std::int64_t row,
-                               const tcam::TernaryWord* word);
+    /// Apply one row mutation: in place when no reader is pinned, else
+    /// clone the affected chunk and publish a new root. Caller holds
+    /// mutMutex_. `word` null = clear the row.
+    void publishMutationLocked(std::int64_t row, const tcam::TernaryWord* word);
     /// Charge one effective mutation: write cost into stats_ + obs, delta
     /// record into the table log. Caller holds mutMutex_. `word` null = erase.
     void recordMutationLocked(std::int64_t row, const tcam::TernaryWord* word);
@@ -356,12 +398,16 @@ private:
     std::shared_ptr<CharacterizationCache> cache_;
     array::BankMetrics bank_;
     std::int64_t capacity_ = 0;  ///< bank_.totalEntries
-    /// Entry storage root. Readers: one loadTable() copy per batch. Writers:
-    /// copy-on-write publishTable() swap under mutMutex_.
+    /// Entry storage root. Readers: one loadTable() pin per batch. Writers:
+    /// an in-place row write, or a clone and publishTable() swap, under
+    /// mutMutex_.
     std::shared_ptr<const Table> table_;
-    /// Guards table_ only for the pointer copy or swap (a leaf lock: nothing
-    /// else is taken while it is held).
+    /// Guards table_ for a pin, a pointer swap or an in-place row write (a
+    /// leaf lock: nothing else is taken while it is held).
     mutable std::mutex tableMutex_;
+    /// Live TableSnapshots. Incremented under tableMutex_, decremented with
+    /// release after the snapshot drops its root.
+    mutable std::atomic<std::int64_t> readers_{0};
     std::atomic<std::int64_t> occupied_{0};
     mutable std::mutex mutMutex_;  ///< serializes writers (and the fields below)
     /// First-free-row search hint: every row < freeHint_ is occupied.

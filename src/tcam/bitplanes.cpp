@@ -79,12 +79,14 @@ void TernaryPlanes::set(std::int64_t row, const TernaryWord& word) {
     const std::size_t stride = groupStride(group);
     std::uint64_t* kill = kill_.data() + groupOffset(group) + ((row >> 6) & 15);
     const std::uint64_t rowBit = std::uint64_t{1} << (row & 63);
+    // Branchless: clear the row's bit in both planes, then OR it back into
+    // the one the trit selects (all-ones mask when it does, zero otherwise).
     for (int b = 0; b < bits_; ++b) {
         const Trit t = word[static_cast<std::size_t>(b)];
         std::uint64_t& killedByZero = kill[2 * static_cast<std::size_t>(b) * stride];
         std::uint64_t& killedByOne = kill[(2 * static_cast<std::size_t>(b) + 1) * stride];
-        killedByZero = t == Trit::One ? killedByZero | rowBit : killedByZero & ~rowBit;
-        killedByOne = t == Trit::Zero ? killedByOne | rowBit : killedByOne & ~rowBit;
+        killedByZero = (killedByZero & ~rowBit) | (rowBit & -std::uint64_t{t == Trit::One});
+        killedByOne = (killedByOne & ~rowBit) | (rowBit & -std::uint64_t{t == Trit::Zero});
     }
     occ_[static_cast<std::size_t>(row >> 6)] |= rowBit;
 }

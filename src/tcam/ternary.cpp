@@ -46,7 +46,9 @@ std::string TernaryWord::toString() const {
 bool TernaryWord::matches(const TernaryWord& key) const {
     if (key.size() != size())
         throw std::invalid_argument("TernaryWord::matches: width mismatch");
-    return matchesUnchecked(key);
+    for (std::size_t i = 0; i < trits_.size(); ++i)
+        if (!tritMatches(trits_[i], key.trits_[i])) return false;
+    return true;
 }
 
 std::size_t TernaryWord::mismatchCount(const TernaryWord& key) const {
@@ -56,12 +58,6 @@ std::size_t TernaryWord::mismatchCount(const TernaryWord& key) const {
     for (std::size_t i = 0; i < trits_.size(); ++i)
         if (!tritMatches(trits_[i], key.trits_[i])) ++n;
     return n;
-}
-
-bool TernaryWord::matchesUnchecked(const TernaryWord& key) const noexcept {
-    for (std::size_t i = 0; i < trits_.size(); ++i)
-        if (!tritMatches(trits_[i], key.trits_[i])) return false;
-    return true;
 }
 
 std::size_t TernaryWord::wildcardCount() const {

@@ -43,16 +43,12 @@ public:
     bool operator==(const TernaryWord&) const = default;
 
     /// Word-level match: every trit position matches. Throws on width
-    /// mismatch — use the unchecked variant inside validated batch loops.
+    /// mismatch.
     bool matches(const TernaryWord& key) const;
 
     /// Number of definite-and-differing positions (drives ML discharge rate).
     /// Throws on width mismatch.
     std::size_t mismatchCount(const TernaryWord& key) const;
-
-    /// matches() without the per-call width check, for scan loops that
-    /// validated the key width once. Precondition: key.size() == size().
-    bool matchesUnchecked(const TernaryWord& key) const noexcept;
 
     /// Number of don't-care positions.
     std::size_t wildcardCount() const;

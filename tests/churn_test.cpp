@@ -1,13 +1,15 @@
 // Mutation-under-load contract tests: the RCU-snapshot table, first-free-row
-// insert order, write-cost accounting, a model-based test of every table
-// operation against the reference scan, warm restart of a mutated table
-// through the entry delta log, and the fixed-size chunk layout (chunk edges,
-// answers independent of the priced shard size).
+// insert order, write-cost accounting, in-place writes when no reader is
+// pinned, a model-based test of every table operation against the reference
+// scan, warm restart of a mutated table through the entry delta log, and the
+// fixed-size chunk layout (chunk edges, answers independent of the priced
+// shard size).
 //
 // The thread tests are written to be meaningful under TSan (the CI
 // thread-sanitize job runs this binary): concurrent searchers race a mutator
 // and every observed result must have been valid at some point in the
-// mutation order.
+// mutation order — for the model-based one, equal to the reference table at
+// some version published during the call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +28,7 @@
 
 #include "apps/churn.hpp"
 #include "numeric/stats.hpp"
+#include "obs/obs.hpp"
 #include "recover/sim_error.hpp"
 #include "serve/query_engine.hpp"
 #include "sim/similarity.hpp"
@@ -525,6 +528,175 @@ TEST(ChurnConcurrency, ConcurrentSearchResultsAreValidAtSomeMutationPoint) {
     EXPECT_EQ(stats.inserts, 202);
     EXPECT_EQ(stats.erases, 200);
     EXPECT_EQ(engine.occupancy(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent model-based oracle: one writer runs a seeded insert / insertAt /
+// erase sequence while searchBatch and nearestK readers run against it, over
+// a table crossing a chunk edge — so writes land in place when no reader is
+// pinned and clone a chunk when one is. Each reader call must answer exactly
+// as the reference table at some version published during that call, which
+// holds whatever the schedule.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One writer call: insert (first free row, planned as `row`), insertAt, or
+/// erase (`word` empty).
+struct PlannedMutation {
+    bool firstFree = false;
+    std::int64_t row = 0;
+    std::optional<tcam::TernaryWord> word;
+};
+
+/// One reader call: the versions bounding it and what it answered. Version v
+/// is the table after the writer's first v calls.
+struct ReaderCall {
+    std::int64_t first = 0;  ///< calls the writer had completed before it
+    std::int64_t last = 0;   ///< calls the writer had started by its end
+    std::vector<tcam::TernaryWord> keys;
+    bool nearest = false;  ///< nearestK on keys[0]; otherwise searchBatch
+    std::vector<std::int64_t> rows;
+    sim::SimilarityHits hits;
+};
+
+}  // namespace
+
+TEST(ChurnConcurrency, ModelBasedReadersSeeSomePublishedVersion) {
+    constexpr std::uint64_t kSeed = 2027;
+    constexpr int kWidth = 12;
+    constexpr std::int64_t kCapacity = kChunk + 76;  // one edge, partial second chunk
+    constexpr int kMutations = 300;
+    constexpr int kReaders = 3;  // two searchBatch, one nearestK
+    constexpr int kNearest = 4;
+    static_assert(kCapacity % 4 == 0);
+    constexpr std::int64_t kHotRows[] = {0, kChunk - 1, kChunk, kCapacity - 1};
+
+    serve::QueryEngine engine(churnOptions(kWidth, 4, kCapacity));
+    numeric::Rng rng(kSeed);
+    // Stored words come from a small pool, so keys built from it hit rows.
+    std::vector<tcam::TernaryWord> pool;
+    for (int i = 0; i < 24; ++i) pool.push_back(randomTernary(rng, kWidth, 0.3));
+    const auto poolWord = [&](numeric::Rng& r) {
+        return pool[static_cast<std::size_t>(r.uniformInt(0, static_cast<int>(pool.size()) - 1))];
+    };
+
+    NaiveTable initial(kCapacity);
+    for (std::int64_t r = 0; r < kCapacity; ++r)
+        if (rng.bernoulli(0.5)) {
+            initial.rows[static_cast<std::size_t>(r)] = poolWord(rng);
+            engine.insertAt(r, *initial.rows[static_cast<std::size_t>(r)]);
+        }
+
+    // The writer's whole sequence, planned on a model table up front.
+    std::vector<PlannedMutation> plan;
+    NaiveTable model = initial;
+    for (int i = 0; i < kMutations; ++i) {
+        PlannedMutation m;
+        const double u = rng.uniform();
+        m.row = rng.bernoulli(0.4)
+                    ? kHotRows[rng.uniformInt(0, static_cast<int>(std::size(kHotRows)) - 1)]
+                    : rng.uniformInt(0, static_cast<int>(kCapacity) - 1);
+        if (u < 0.3) {
+            m.firstFree = true;
+            m.word = poolWord(rng);
+            m.row = model.insert(*m.word);  // never full: about half the rows are free
+        } else if (u < 0.65) {
+            m.word = poolWord(rng);
+            model.rows[static_cast<std::size_t>(m.row)] = m.word;
+        } else {
+            model.rows[static_cast<std::size_t>(m.row)].reset();
+        }
+        plan.push_back(std::move(m));
+    }
+
+    std::atomic<std::int64_t> started{0}, completed{0};
+    std::atomic<int> readersReady{0};
+    std::atomic<bool> writerDone{false};
+    std::atomic<int> misplaced{0};
+    std::vector<std::vector<ReaderCall>> calls(kReaders);
+    std::vector<std::thread> readers;
+    for (int id = 0; id < kReaders; ++id)
+        readers.emplace_back([&, id] {
+            numeric::Rng keyRng(kSeed + 1 + static_cast<std::uint64_t>(id));
+            const auto key = [&] {
+                auto k = poolWord(keyRng);
+                for (std::size_t b = 0; b < k.size(); ++b)
+                    if (k[b] == tcam::Trit::X && keyRng.bernoulli(0.7))
+                        k[b] = keyRng.bernoulli(0.5) ? tcam::Trit::One : tcam::Trit::Zero;
+                return k;
+            };
+            for (bool last = false; !last;) {
+                last = writerDone.load(std::memory_order_acquire);
+                ReaderCall call;
+                call.nearest = id == kReaders - 1;
+                for (int q = 0; q < (call.nearest ? 1 : 4); ++q) call.keys.push_back(key());
+                call.first = completed.load(std::memory_order_acquire);
+                if (call.nearest)
+                    call.hits = engine.nearestK(call.keys[0], kNearest);
+                else
+                    call.rows = engine.searchBatch(call.keys).rows;
+                call.last = started.load(std::memory_order_acquire);
+                calls[static_cast<std::size_t>(id)].push_back(std::move(call));
+                if (calls[static_cast<std::size_t>(id)].size() == 1)
+                    readersReady.fetch_add(1, std::memory_order_release);
+            }
+        });
+    std::thread writer([&] {
+        while (readersReady.load(std::memory_order_acquire) < kReaders)
+            std::this_thread::yield();
+        for (int i = 0; i < kMutations; ++i) {
+            const auto& m = plan[static_cast<std::size_t>(i)];
+            started.store(i + 1, std::memory_order_release);
+            if (m.firstFree) {
+                if (engine.insert(*m.word) != m.row) misplaced.fetch_add(1);
+            } else if (m.word) {
+                engine.insertAt(m.row, *m.word);
+            } else {
+                engine.erase(m.row);
+            }
+            completed.store(i + 1, std::memory_order_release);
+        }
+        writerDone.store(true, std::memory_order_release);
+    });
+    writer.join();
+    for (auto& th : readers) th.join();
+
+    EXPECT_EQ(misplaced.load(), 0) << "insert() diverged from the first free row, seed "
+                                   << kSeed;
+    for (std::int64_t r = 0; r < kCapacity; ++r)
+        ASSERT_EQ(engine.entryAt(r), model.rows[static_cast<std::size_t>(r)])
+            << "row " << r << ", seed " << kSeed;
+
+    // Replay the versions in order; each call must match one inside its range.
+    std::vector<const ReaderCall*> pending;
+    for (const auto& perReader : calls)
+        for (const auto& call : perReader) pending.push_back(&call);
+    const auto answersAt = [&](const ReaderCall& call, const NaiveTable& table) {
+        if (call.nearest)
+            return call.hits ==
+                   sim::naiveSimilarity(table.rows, call.keys[0], nearestOptions(kNearest));
+        for (std::size_t q = 0; q < call.keys.size(); ++q)
+            if (call.rows[q] != tcam::referenceFindFirst(table.rows, call.keys[q])) return false;
+        return true;
+    };
+    NaiveTable state = initial;
+    for (std::int64_t v = 0; v <= kMutations && !pending.empty(); ++v) {
+        if (v > 0) {
+            const auto& m = plan[static_cast<std::size_t>(v - 1)];
+            state.rows[static_cast<std::size_t>(m.row)] = m.word;
+        }
+        std::erase_if(pending, [&](const ReaderCall* call) {
+            return call->first <= v && v <= call->last && answersAt(*call, state);
+        });
+    }
+    for (const ReaderCall* call : pending) {
+        std::string keys;
+        for (const auto& k : call->keys) keys += " " + k.toString();
+        ADD_FAILURE() << (call->nearest ? "nearestK" : "searchBatch") << keys
+                      << " matched the reference at no version in [" << call->first << ", "
+                      << call->last << "], seed " << kSeed;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,4 +1273,63 @@ TEST(ChunkLayout, AnswersDoNotDependOnPricedShardRows) {
         EXPECT_NE(exact.energy, first->energy);
         EXPECT_NE(similar.energy, firstSim->energy);
     }
+}
+
+// ---------------------------------------------------------------------------
+// With no reader pinned, the current root is the only one alive, so every
+// write lands in place: no chunk is cloned, and the answers, entries and
+// write accounting are exactly those of the reference.
+// ---------------------------------------------------------------------------
+
+TEST(ChurnEngine, SerialWritesCloneNoChunk) {
+    struct ScopedObs {
+        bool was = obs::enabled();
+        ScopedObs() { obs::setEnabled(true); }
+        ~ScopedObs() { obs::setEnabled(was); }
+    } scopedObs;
+    // The registry is process-wide: take the counter's delta around the calls.
+    const obs::Counter& copies = obs::counter("serve.writes.chunk_copies");
+    const long long copiesBefore = copies.value();
+
+    serve::QueryEngine engine(churnOptions(16, 4, kEdgeCapacity));
+    NaiveTable naive(kEdgeCapacity);
+    numeric::Rng rng(31);
+    std::int64_t inserts = 0, erases = 0;
+    for (std::int64_t r = 0; r < kEdgeCapacity; ++r, ++inserts) {
+        const auto word = definiteWord(rng.nextU64(), 16);
+        ASSERT_EQ(engine.insert(word), naive.insert(word));
+    }
+    for (int i = 0; i < 400; ++i) {
+        const std::int64_t row = i % 4 == 0 ? kEdgeRows[(i / 4) % std::size(kEdgeRows)]
+                                            : rng.uniformInt(0, kEdgeCapacity - 1);
+        auto& slot = naive.rows[static_cast<std::size_t>(row)];
+        if (rng.bernoulli(0.5)) {
+            engine.erase(row);
+            erases += slot.has_value();
+            slot.reset();
+        } else {
+            auto word = definiteWord(rng.nextU64(), 16);
+            word[static_cast<std::size_t>(rng.uniformInt(0, 15))] = tcam::Trit::X;
+            engine.insertAt(row, word);
+            ++inserts;
+            slot = word;
+        }
+        if (i % 100 == 99) expectSearchMatchesNaive(engine, naive);  // pins, then unpins
+    }
+    EXPECT_EQ(copies.value() - copiesBefore, 0);
+    expectTableMatchesNaive(engine, naive);
+    expectSearchMatchesNaive(engine, naive);
+
+    // One charged write per effective mutation, exactly as before.
+    const auto stats = engine.stats();
+    const auto cost = engine.writeCost();
+    EXPECT_EQ(stats.inserts, inserts);
+    EXPECT_EQ(stats.erases, erases);
+    double writeEnergy = 0.0;  // accumulated in the engine's order, so exact
+    for (std::int64_t i = 0; i < inserts + erases; ++i) writeEnergy += cost.energy;
+    EXPECT_EQ(stats.writeEnergy, writeEnergy);
+    EXPECT_EQ(stats.writePulsePhases, (inserts + erases) * cost.pulsePhases);
+    EXPECT_EQ(engine.occupancy(),
+              std::count_if(naive.rows.begin(), naive.rows.end(),
+                            [](const auto& w) { return w.has_value(); }));
 }

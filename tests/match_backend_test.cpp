@@ -6,8 +6,9 @@
 // (1..256, deliberately including non-multiples of 64), row counts beyond
 // one 64-row block and beyond one 1024-row plane group (with a partial last
 // group), all-X rows, empty slots, keys with X trits, and random [begin, end)
-// sub-ranges, some straddling a group edge — everywhere the bit-plane
-// partial-block and partial-group masking could go wrong.
+// sub-ranges, some straddling a group edge, and keys whose only or lowest
+// match is a partial group's last row or a row at a group edge — everywhere
+// the bit-plane partial-block and partial-group masking could go wrong.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,6 +141,36 @@ TEST(MatchBackend, DifferentialFuzzAgainstNaiveReference) {
                     drop(r);
                 else
                     store(r, randomWord(rng, bits, 0.25));
+            }
+        }
+
+        // Random keys almost never make an edge row the first match, so aim
+        // at them: the last row (of a partial group in every case), and rows
+        // 1023/1024 across a group edge, as the only match and as the lowest
+        // of several. Rows below the target that match the key are emptied.
+        std::vector<std::int64_t> targets = {rows - 1};
+        if (rows > 1024) targets.insert(targets.end(), {1023, 1024});
+        for (const std::int64_t target : targets) {
+            for (const bool alone : {true, false}) {
+                const auto key = randomWord(rng, bits, 0.0);
+                for (std::int64_t r = 0; r < rows; ++r) {
+                    const auto& w = reference[static_cast<std::size_t>(r)];
+                    if (r != target && w && w->matches(key) && (alone || r < target)) drop(r);
+                }
+                auto word = randomWord(rng, bits, 0.25);
+                for (std::size_t b = 0; b < word.size(); ++b)
+                    if (word[b] != tcam::Trit::X) word[b] = key[b];
+                store(target, word);
+                if (!alone && target + 1 < rows) store(rows - 1, key);
+                const auto prepared = planes.prepare(key);
+                const std::int64_t want = tcam::referenceFindFirst(reference, key);
+                ASSERT_EQ(want, target);
+                EXPECT_EQ(planes.findFirst(0, rows, prepared), want)
+                    << "bits=" << bits << " rows=" << rows << " alone=" << alone;
+                EXPECT_EQ(planes.findFirst(target - target % 1024, rows, prepared), want)
+                    << "bits=" << bits << " rows=" << rows << " alone=" << alone;
+                EXPECT_EQ(countsOf(planes, prepared), referenceCounts(reference, key))
+                    << "bits=" << bits;
             }
         }
 

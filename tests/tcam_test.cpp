@@ -1,10 +1,16 @@
-// TCAM-layer tests: ternary semantics, storage encodings, per-cell search
-// truth tables exercised through full transient simulation, and write
-// sequencers.
+// TCAM-layer tests: ternary semantics, storage encodings, bit-plane row
+// overwrites, per-cell search truth tables exercised through full transient
+// simulation, and write sequencers.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "array/word_sim.hpp"
 #include "numeric/stats.hpp"
+#include "tcam/bitplanes.hpp"
 #include "tcam/cell.hpp"
 #include "tcam/cell_builder.hpp"
 #include "tcam/ternary.hpp"
@@ -51,8 +57,8 @@ TEST(Ternary, WordMatchAndMismatchCount) {
 }
 
 TEST(Ternary, UncheckedPathsAgreeWithChecked) {
-    // The unchecked variants exist so batch callers can hoist the width
-    // validation; on valid inputs they must be indistinguishable.
+    // On valid inputs a word matches a key exactly when no position is
+    // definite-and-differing.
     numeric::Rng rng(11);
     for (int trial = 0; trial < 200; ++trial) {
         const auto bits = static_cast<std::size_t>(rng.uniformInt(1, 24));
@@ -65,11 +71,61 @@ TEST(Ternary, UncheckedPathsAgreeWithChecked) {
             stored[b] = pick();
             key[b] = pick();
         }
-        EXPECT_EQ(stored.matchesUnchecked(key), stored.matches(key));
+        EXPECT_EQ(stored.matches(key), stored.mismatchCount(key) == 0);
     }
     // The checked entry points still reject width mismatches.
     EXPECT_THROW(TernaryWord(4).matches(TernaryWord(5)), std::invalid_argument);
     EXPECT_THROW(TernaryWord(4).mismatchCount(TernaryWord(5)), std::invalid_argument);
+}
+
+TEST(TernaryPlanes, OverwriteDecodesEveryTritTransitionExactly) {
+    // Word position 3 * from + to goes from trit `from` to trit `to`, so one
+    // overwrite covers all nine transitions of {0, 1, X} -> {0, 1, X}. Rows
+    // sit at block and group edges and at the last row of a partial group.
+    constexpr Trit kTrits[] = {Trit::Zero, Trit::One, Trit::X};
+    constexpr std::int64_t kRows = 1024 + 3 * 64 + 37;  // partial second group
+    TernaryWord before(9), after(9);
+    for (int from = 0; from < 3; ++from)
+        for (int to = 0; to < 3; ++to) {
+            before[static_cast<std::size_t>(3 * from + to)] = kTrits[from];
+            after[static_cast<std::size_t>(3 * from + to)] = kTrits[to];
+        }
+    // Every definite 9-bit key; each row matches some of them.
+    std::vector<TernaryWord> keys;
+    for (unsigned v = 0; v < 512; ++v) keys.push_back(TernaryWord::fromBits(v, 9));
+
+    numeric::Rng rng(23);
+    tcam::TernaryPlanes planes(9, kRows);
+    std::vector<std::optional<TernaryWord>> reference(static_cast<std::size_t>(kRows));
+    for (std::int64_t r = 0; r < kRows; ++r) {
+        if (rng.bernoulli(0.3)) continue;
+        TernaryWord w(9);
+        for (std::size_t b = 0; b < w.size(); ++b) w[b] = kTrits[rng.uniformInt(0, 2)];
+        planes.set(r, w);
+        reference[static_cast<std::size_t>(r)] = w;
+    }
+    for (const std::int64_t row : {std::int64_t{0}, std::int64_t{63}, std::int64_t{64},
+                                   std::int64_t{1023}, std::int64_t{1024}, kRows - 1}) {
+        SCOPED_TRACE(row);
+        for (const auto& [first, second] : {std::pair{before, after}, std::pair{after, before}}) {
+            planes.set(row, first);
+            planes.set(row, second);
+            reference[static_cast<std::size_t>(row)] = second;
+            ASSERT_EQ(planes.get(row), second) << second.toString();
+            for (const auto& key : keys) {
+                const auto slices = tcam::KeySlices::of(key);
+                ASSERT_EQ(planes.findFirstMatch(row, row + 1, slices),
+                          second.matches(key) ? row : -1)
+                    << key.toString();
+                ASSERT_EQ(planes.findFirstMatch(0, kRows, slices),
+                          tcam::referenceFindFirst(reference, key))
+                    << key.toString();
+            }
+        }
+    }
+    // The overwrites disturbed no other row.
+    for (std::int64_t r = 0; r < kRows; ++r)
+        ASSERT_EQ(planes.get(r), reference[static_cast<std::size_t>(r)]) << "row " << r;
 }
 
 TEST(Cell, DeviceCounts) {
