@@ -1,7 +1,8 @@
 // Engine microbenchmarks (google-benchmark): how fast the substrate itself
 // runs — sparse LU factorization and numeric refactorization on MNA-like
 // matrices, triplet vs stamp-map assembly, RC transient stepping, complete
-// TCAM word-search simulations, and Monte Carlo scaling vs --jobs.
+// TCAM word-search simulations, cold QueryEngine construction, and Monte
+// Carlo scaling vs --jobs.
 //
 // `--json <path>` writes the results as google-benchmark JSON (shorthand for
 // --benchmark_out=<path> --benchmark_out_format=json); the repo's committed
@@ -17,6 +18,7 @@
 #include "bench_util.hpp"
 #include "core/fetcam.hpp"
 #include "numeric/parallel.hpp"
+#include "serve/query_engine.hpp"
 #include "spice/workspace.hpp"
 
 // Allocation counter for the steady-state allocation benchmarks: every
@@ -253,6 +255,24 @@ void BM_WordSearch(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * bits);
 }
 BENCHMARK(BM_WordSearch)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
+
+// Cold engine construction at the end-to-end benchmark's geometry (64-bit
+// FeFET2 words, low-swing sense, 16-row shards, 65536 entries): a fresh
+// in-memory characterization cache, so every iteration pays the match and
+// mismatch calibration transients. This is most of e2ebench's setup_s.
+void BM_ColdEngineConstruct(benchmark::State& state) {
+    serve::EngineOptions o;
+    o.shard.cell = tcam::CellKind::FeFet2;
+    o.shard.sense = array::SenseScheme::LowSwing;
+    o.shard.rows = 16;
+    o.shard.wordBits = 64;
+    o.capacity = 65536;
+    for (auto _ : state) {
+        serve::QueryEngine engine(o, std::make_shared<serve::CharacterizationCache>());
+        benchmark::DoNotOptimize(engine.energyPerQuery());
+    }
+}
+BENCHMARK(BM_ColdEngineConstruct)->Unit(benchmark::kMillisecond);
 
 // Monte Carlo scaling vs worker count (bit-identical results per spec.seed
 // regardless of jobs; see parallel_test for the equivalence assertions).

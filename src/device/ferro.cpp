@@ -32,16 +32,26 @@ PreisachBank::PreisachBank(const FerroParams& params) : params_(params) {
         wSum += w;
     }
     for (auto& w : weight_) w /= wSum;
+    vcMin_ = *std::min_element(vc_.begin(), vc_.end());
+    refreshSum();
+}
+
+void PreisachBank::refreshSum() {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < vc_.size(); ++i) acc += weight_[i] * state_[i];
+    sum_ = acc;
 }
 
 void PreisachBank::reset(double pnorm) {
     if (pnorm < -1.0 || pnorm > 1.0)
         throw std::invalid_argument("PreisachBank::reset: pnorm outside [-1,1]");
     for (auto& s : state_) s = pnorm;
+    refreshSum();
 }
 
 void PreisachBank::advance(double v, double dt) {
     const double mag = std::abs(v);
+    if (mag <= vcMin_) return;  // every hysteron below threshold (search pulses)
     for (std::size_t i = 0; i < vc_.size(); ++i) {
         if (mag <= vc_[i]) continue;  // below threshold: hold (non-volatile)
         const double target = v > 0.0 ? 1.0 : -1.0;
@@ -49,6 +59,7 @@ void PreisachBank::advance(double v, double dt) {
         const double alpha = 1.0 - std::exp(-dt / tau);
         state_[i] += (target - state_[i]) * alpha;
     }
+    refreshSum();
 }
 
 void PreisachBank::settle(double v) {
@@ -57,19 +68,17 @@ void PreisachBank::settle(double v) {
         if (mag <= vc_[i]) continue;
         state_[i] = v > 0.0 ? 1.0 : -1.0;
     }
+    refreshSum();
 }
 
 void PreisachBank::relax(double seconds) {
     if (seconds < 0.0) throw std::invalid_argument("PreisachBank::relax: negative time");
     const double factor = std::exp(-seconds / params_.tauRetention);
     for (auto& s : state_) s *= factor;
+    refreshSum();
 }
 
-double PreisachBank::pnorm() const {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < vc_.size(); ++i) acc += weight_[i] * state_[i];
-    return acc * endurance_;
-}
+double PreisachBank::pnorm() const { return sum_ * endurance_; }
 
 double PreisachBank::enduranceFactor(double cycles) const {
     if (cycles < 0.0) throw std::invalid_argument("enduranceFactor: negative cycles");

@@ -11,6 +11,12 @@
 // time constant tau(v) = tau0 * exp(kMerz * vc_i / |v|); far above the
 // coercive voltage switching is fast, just above it is slow. Below threshold
 // the state holds (non-volatility).
+//
+// pnorm() is read once per FeFET per Newton iteration, so the bank keeps the
+// weighted state sum instead of re-adding every hysteron on each read.
+// Invariant: every mutator of state_ (constructor, reset, advance, settle,
+// relax) ends with refreshSum(), which adds the hysterons in index order, so
+// pnorm() returns the same double as summing on demand would.
 #pragma once
 
 #include <vector>
@@ -81,10 +87,14 @@ public:
     const FerroParams& params() const { return params_; }
 
 private:
+    void refreshSum();
+
     FerroParams params_;
     std::vector<double> vc_;      ///< per-hysteron coercive voltage (>0)
     std::vector<double> weight_;  ///< normalized Gaussian weights
     std::vector<double> state_;   ///< per-hysteron state in [-1, 1]
+    double vcMin_ = 0.0;          ///< smallest vc_: at or below it advance() is a no-op
+    double sum_ = 0.0;            ///< cached sum of weight_[i] * state_[i]
     double cycles_ = 0.0;         ///< accumulated program/erase cycles
     double endurance_ = 1.0;      ///< cached enduranceFactor(cycles_)
 };

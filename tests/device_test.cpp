@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "device/fefet.hpp"
 #include "device/ferro.hpp"
@@ -196,6 +197,71 @@ TEST(Preisach, ResetValidatesRange) {
     EXPECT_THROW(bank.reset(1.5), std::invalid_argument);
 }
 
+namespace {
+
+/// pnorm() after construction and after each step of a scripted history:
+/// resets, an optional search-level (sub-coercive) advance, partial Merz
+/// switching both ways, settle, retention relax, cycling history, then more
+/// switching at the reduced polarization.
+std::vector<double> scriptedPnorm(bool withSubCoerciveAdvance) {
+    PreisachBank bank(kTech.fefet.ferro);
+    std::vector<double> p{bank.pnorm()};
+    const auto step = [&](auto&& mutate) {
+        mutate();
+        p.push_back(bank.pnorm());
+    };
+    step([&] { bank.reset(-1.0); });
+    step([&] { bank.reset(0.0); });
+    step([&] { bank.reset(0.3); });
+    step([&] {
+        if (withSubCoerciveAdvance) bank.advance(kTech.vdd, 1e-6);
+    });
+    step([&] { bank.advance(1.5, 2e-9); });
+    step([&] { bank.advance(-1.3, 1e-9); });
+    step([&] { bank.settle(1.4); });
+    step([&] { bank.relax(3.15e8); });
+    step([&] { bank.setCyclingHistory(1e3); });
+    step([&] { bank.advance(2.0, 3e-9); });
+    step([&] { bank.setCyclingHistory(1e7); });
+    step([&] { bank.advance(-3.0, 1e-9); });
+    step([&] { bank.settle(-1.2); });
+    step([&] { bank.relax(1e9); });
+    return p;
+}
+
+}  // namespace
+
+// The bank keeps its weighted state sum between reads; these hexfloats were
+// recorded (x86-64, glibc libm) from the implementation that re-added every
+// hysteron on each pnorm() call, so a mutator that forgets to refresh the
+// sum, or a sum taken in another order, shows up as a changed bit.
+TEST(Preisach, ScriptedHistoryIsBitExact) {
+    const std::vector<double> expected = {
+        -0x1.0000000000002p+0,  // constructed (all -1)
+        -0x1.0000000000002p+0,  // reset(-1)
+        0x0p+0,  // reset(0)
+        0x1.3333333333333p-2,  // reset(0.3)
+        0x1.3333333333333p-2,  // advance(VDD): sub-coercive
+        0x1.606c11f528e84p-2,  // advance(1.5 V, 2 ns)
+        0x1.58aa719879ca3p-2,  // advance(-1.3 V, 1 ns)
+        0x1.1f985c516b9f3p-1,  // settle(1.4 V)
+        0x1.02edd13c1de2ap-1,  // relax(10 years)
+        0x1.fccba18be3af4p-2,  // setCyclingHistory(1e3): wake-up
+        0x1.3128b10ad454ep-1,  // advance(2 V, 3 ns)
+        0x1.1152b21d3ddabp-1,  // setCyclingHistory(1e7): fatigue
+        0x1.566ee2e2aa145p-2,  // advance(-3 V, 1 ns)
+        0x1.335ea9d437c48p-2,  // settle(-1.2 V)
+        0x1.b87aea8518ac1p-3,  // relax(1e9 s)
+    };
+    const std::vector<double> got = scriptedPnorm(true);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], expected[i]) << "step " << i << ": " << std::hexfloat << got[i];
+    // A search-level advance touches no hysteron: the later history is
+    // bit-identical to a bank that never saw it.
+    EXPECT_EQ(scriptedPnorm(false), got);
+}
+
 TEST(FerroCap, HysteresisLoopDissipatesEnergy) {
     // Drive a triangular +/-4 V cycle across the FE cap; after a full loop the
     // absorbed energy must be positive (hysteresis loss), unlike a linear cap.
@@ -228,8 +294,13 @@ TEST(FeFet, MemoryWindow) {
 
 namespace {
 
-/// Apply one gate pulse to a grounded-source FeFET and return final pnorm.
-double pulseFeFet(double startP, double vPulse, double width) {
+struct PulseEnd {
+    double pnorm = 0.0;
+    double vtEff = 0.0;
+};
+
+/// Apply one gate pulse to a grounded-source FeFET; its final state.
+PulseEnd pulseEnd(double startP, double vPulse, double width) {
     spice::Circuit c;
     const auto g = c.node("g");
     c.add<VoltageSource>("Vg", c, g, spice::kGround,
@@ -240,7 +311,11 @@ double pulseFeFet(double startP, double vPulse, double width) {
     spec.tstop = width + 5e-9;
     spec.dtMax = 0.5e-9;
     runTransient(c, spec);
-    return fet.pnorm();
+    return {fet.pnorm(), fet.vtEff()};
+}
+
+double pulseFeFet(double startP, double vPulse, double width) {
+    return pulseEnd(startP, vPulse, width).pnorm;
 }
 
 }  // namespace
@@ -254,6 +329,18 @@ TEST(FeFet, SearchPulseDoesNotDisturb) {
     // Thousands of search cycles at VDD must not move the polarization.
     const double p = pulseFeFet(-1.0, kTech.vdd, 1000e-9);
     EXPECT_NEAR(p, -1.0, 1e-9);
+}
+
+// Hexfloats recorded like Preisach.ScriptedHistoryIsBitExact's, through
+// whole transients: a search pulse on a partly polarized device and a brief
+// program pulse.
+TEST(FeFet, PulsesAreBitExact) {
+    const PulseEnd search = pulseEnd(0.3, kTech.vdd, 200e-9);
+    const PulseEnd program = pulseEnd(-1.0, kTech.vWriteFe, 3e-9);
+    EXPECT_EQ(search.pnorm, 0x1.3333333333333p-2);
+    EXPECT_EQ(search.vtEff, 0x1.11eb851eb851ep-1);
+    EXPECT_EQ(program.pnorm, -0x1.7a60740370428p-4);
+    EXPECT_EQ(program.vtEff, 0x1.8069d4c6a2eafp-1);
 }
 
 TEST(FeFet, ShorterOrWeakerPulseSwitchesLess) {
