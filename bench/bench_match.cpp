@@ -2,7 +2,7 @@
 // isolated from characterization, batching and threading. One shard's worth
 // of ternary entries is scanned by the row-at-a-time reference scan
 // (tcam::referenceFindFirst, TernaryWord::mismatchCount) and by the
-// bit-plane MatchBackend (kill planes, a 1024-row group per key bit),
+// bit-plane tcam::TernaryPlanes (kill planes, a 1024-row group per key bit),
 // single-threaded, and the bench fails hard if the two ever disagree on a
 // priority row or a mismatch count, or if the bit-plane path is slower than
 // the reference. The JSON keeps its historical "scalar*" keys for the
@@ -35,7 +35,7 @@
 
 #include "bench_util.hpp"
 #include "numeric/stats.hpp"
-#include "serve/match_backend.hpp"
+#include "tcam/bitplanes.hpp"
 
 using namespace fetcam;
 
@@ -83,7 +83,7 @@ struct ScenarioResult {
 /// Run one scenario on the backend or the reference, returning elapsed
 /// seconds and the full result vector (rows for find, flattened counts for
 /// mismatch) so the two can be compared bit for bit.
-double runFind(const serve::MatchBackend& backend, const std::vector<tcam::TernaryWord>& keys,
+double runFind(const tcam::TernaryPlanes& backend, const std::vector<tcam::TernaryWord>& keys,
                std::vector<std::int64_t>& out) {
     out.clear();
     out.reserve(keys.size());
@@ -96,7 +96,7 @@ double runFind(const serve::MatchBackend& backend, const std::vector<tcam::Terna
     return now() - t0;
 }
 
-double runMismatch(const serve::MatchBackend& backend,
+double runMismatch(const tcam::TernaryPlanes& backend,
                    const std::vector<tcam::TernaryWord>& keys,
                    std::vector<std::size_t>& out) {
     const auto rows = static_cast<std::size_t>(backend.rows());
@@ -132,7 +132,7 @@ double runMismatch(const Reference& reference, const std::vector<tcam::TernaryWo
 }
 
 ScenarioResult runScenario(const Scenario& sc, const Reference& reference,
-                           const serve::MatchBackend& bitplane) {
+                           const tcam::TernaryPlanes& bitplane) {
     ScenarioResult r;
     r.name = sc.name;
     r.rows = bitplane.rows();
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
     // random key matches nothing until the full shard has been scanned.
     numeric::Rng rng(seed);
     Reference reference(static_cast<std::size_t>(rows));
-    serve::MatchBackend bitplane(rows, bits);
+    tcam::TernaryPlanes bitplane(bits, rows);
     std::vector<std::int64_t> occupiedRows;
     const std::int64_t catchAllFrom = std::max<std::int64_t>(0, rows - 4);
     for (std::int64_t r = 0; r < rows; ++r) {

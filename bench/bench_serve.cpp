@@ -275,7 +275,7 @@ WorkloadResult runLpm(std::int64_t queries, std::uint64_t seed) {
     shard.wordBits = apps::RoutingTable::kWordBits;
     const auto uncached = evaluateBank(base.tech, shard,
                                        static_cast<std::int64_t>(table.size()),
-                                       base.workload, base.encoder);
+                                       base.workload);
     bool ok = sameHardware(warm.engine().hardware(), uncached);
     ok = ok && sameHardware(cold.engine().hardware(), warm.engine().hardware());
     const auto serial = cold.lookupBatch(addresses, 1);

@@ -1,6 +1,7 @@
 #include "net/protocol.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "store/format.hpp"
 
@@ -63,19 +64,12 @@ std::nullopt_t reject(std::string* err, const char* what) {
 
 // --- the key codec: every key on the wire is wordBits trit-bytes (0/1/2) ---
 
-void putKey(std::string& out, const tcam::TernaryWord& key) {
-    for (std::size_t i = 0; i < key.size(); ++i) put8(out, static_cast<std::uint8_t>(key[i]));
-}
-
 bool getKey(Reader& r, std::uint32_t wordBits, tcam::TernaryWord& key, std::string* err) {
     std::string_view bytes;
     if (!r.take(bytes, wordBits)) return fail(err, "truncated key");
-    key = tcam::TernaryWord(wordBits);
-    for (std::uint32_t i = 0; i < wordBits; ++i) {
-        const auto trit = static_cast<std::uint8_t>(bytes[i]);
-        if (trit > 2) return fail(err, "trit byte outside {0,1,2}");
-        key[i] = static_cast<tcam::Trit>(trit);
-    }
+    auto parsed = tcam::parseTritBytes(bytes);
+    if (!parsed) return fail(err, "trit byte outside {0,1,2}");
+    key = std::move(*parsed);
     return true;
 }
 
@@ -269,7 +263,7 @@ std::string encodeQueryBatch(const QueryBatchBody& batch) {
     put64(body, batch.requestId);
     put32(body, batch.deadlineMicros);
     put32(body, static_cast<std::uint32_t>(batch.keys.size()));
-    for (const auto& key : batch.keys) putKey(body, key);
+    for (const auto& key : batch.keys) tcam::appendTritBytes(body, key);
     return body;
 }
 
@@ -308,7 +302,7 @@ std::string encodeMutate(const MutateBody& mutate) {
     for (const auto& op : mutate.ops) {
         put8(body, static_cast<std::uint8_t>(op.op));
         put64(body, static_cast<std::uint64_t>(op.row));
-        if (op.op != MutateOp::Erase) putKey(body, op.word);
+        if (op.op != MutateOp::Erase) tcam::appendTritBytes(body, op.word);
     }
     return body;
 }
@@ -370,7 +364,7 @@ std::string encodeSimilarity(const SimilarityBody& sim) {
     put32(body, sim.param);
     put32(body, sim.maxResults);
     put32(body, static_cast<std::uint32_t>(sim.keys.size()));
-    for (const auto& key : sim.keys) putKey(body, key);
+    for (const auto& key : sim.keys) tcam::appendTritBytes(body, key);
     return body;
 }
 

@@ -532,13 +532,6 @@ void Server::executeBatch(FlushReason reason) {
         flushes[static_cast<int>(reason)]->add();
     }
 
-    if (!submitted.admitted()) {
-        // Engine admission refused the whole batch (a second front-end is
-        // hammering the same engine): typed sheds, client may retry.
-        for (const auto& req : taken) sendShedReply(req.fd, req.requestId, req.keys.size());
-        return;
-    }
-
     const double done = obs::monotonicSeconds();
     obs::Histogram* requestSeconds = nullptr;
     if (obs::enabled()) {

@@ -2,27 +2,7 @@
 
 #include <algorithm>
 
-#include "recover/sim_error.hpp"
-
 namespace fetcam::serve {
-
-namespace {
-
-/// Services submit through admission control so the accepted/shed accounting
-/// in the deterministic fetcam_serve report covers the app paths too. A
-/// sequential service call can only be shed if the caller also hammers the
-/// same engine concurrently past its in-flight bound — surface that as a
-/// typed error rather than inventing a partial-result contract here.
-BatchResult runAdmitted(QueryEngine& engine, const std::vector<tcam::TernaryWord>& keys,
-                        int jobs, const char* where) {
-    auto submitted = engine.submitBatch(keys, jobs);
-    if (!submitted.admitted())
-        throw recover::SimError(recover::SimErrorReason::DeadlineExceeded, where,
-                                "service batch shed by engine admission control");
-    return std::move(submitted.result);
-}
-
-}  // namespace
 
 EngineOptions appEngineOptions(EngineOptions base, int wordBits, std::int64_t capacity) {
     base.shard.wordBits = wordBits;
@@ -51,7 +31,7 @@ std::vector<std::optional<int>> LpmService::lookupBatch(
     keys.reserve(addresses.size());
     for (const auto addr : addresses)
         keys.push_back(tcam::TernaryWord::fromBits(addr, apps::RoutingTable::kWordBits));
-    const auto batch = runAdmitted(engine_, keys, jobs, "LpmService::lookupBatch");
+    const auto batch = engine_.searchBatch(keys, jobs);
 
     std::vector<std::optional<int>> out(addresses.size());
     for (std::size_t i = 0; i < out.size(); ++i)
@@ -79,7 +59,7 @@ std::vector<std::optional<std::uint64_t>> TlbService::translateBatch(
         const std::uint64_t pageVpn = (vaddr >> 12) & ((1ULL << apps::Tlb::kVpnBits) - 1);
         keys.push_back(tcam::TernaryWord::fromBits(pageVpn, apps::Tlb::kVpnBits));
     }
-    const auto batch = runAdmitted(engine_, keys, jobs, "TlbService::translateBatch");
+    const auto batch = engine_.searchBatch(keys, jobs);
 
     std::vector<std::optional<std::uint64_t>> out(vaddrs.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -113,7 +93,7 @@ std::vector<std::optional<int>> ClassifierService::classifyBatch(
     std::vector<tcam::TernaryWord> keys;
     keys.reserve(headers.size());
     for (const auto& header : headers) keys.push_back(header.toWord());
-    const auto batch = runAdmitted(engine_, keys, jobs, "ClassifierService::classifyBatch");
+    const auto batch = engine_.searchBatch(keys, jobs);
 
     std::vector<std::optional<int>> out(headers.size());
     for (std::size_t i = 0; i < out.size(); ++i)

@@ -24,9 +24,7 @@ store::Record packDelta(std::int64_t row, const tcam::TernaryWord* word) {
     r.key.push_back(static_cast<char>(kTableSchemaVersion & 0xFF));
     r.key.push_back(word ? kInsert : kErase);
     r.key.append(reinterpret_cast<const char*>(&row), sizeof row);
-    if (word)
-        for (std::size_t i = 0; i < word->size(); ++i)
-            r.payload.push_back(static_cast<char>((*word)[i]));
+    if (word) tcam::appendTritBytes(r.payload, *word);
     return r;
 }
 
@@ -44,13 +42,8 @@ DeltaRecord unpackDelta(const store::Record& record, int wordBits) {
     if (record.key[1] != kInsert) corrupt("table delta op unknown");
     if (static_cast<int>(record.payload.size()) != wordBits)
         corrupt("table delta word width mismatch");
-    tcam::TernaryWord word(record.payload.size());
-    for (std::size_t i = 0; i < record.payload.size(); ++i) {
-        const auto trit = static_cast<std::uint8_t>(record.payload[i]);
-        if (trit > 2) corrupt("table delta trit out of range");
-        word[i] = static_cast<tcam::Trit>(trit);
-    }
-    d.word = std::move(word);
+    d.word = tcam::parseTritBytes(record.payload);
+    if (!d.word) corrupt("table delta trit out of range");
     return d;
 }
 

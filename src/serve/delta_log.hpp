@@ -13,7 +13,9 @@
 //   key:     u8 version (kTableSchemaVersion, low byte)
 //            u8 op      (1 = insert, 2 = erase)
 //            i64 row    (native-endian, like every store integer)
-//   payload: insert — one byte per trit (0/1/2), wordBits long
+//   payload: insert — one byte per trit (0/1/2), wordBits long: the trit
+//                     bytes of tcam::appendTritBytes, shared with the wire
+//                     protocol's keys
 //            erase  — empty
 //
 // The key carries the version byte for the same reason the characterization

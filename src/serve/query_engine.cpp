@@ -34,23 +34,20 @@ QueryEngine::QueryEngine(EngineOptions options, std::shared_ptr<Characterization
     if (options_.batchSize < 1)
         throw recover::SimError(recover::SimErrorReason::InvalidSpec, "QueryEngine",
                                 "batchSize must be >= 1");
-    if (options_.admission.maxInFlightBatches < 0)
-        throw recover::SimError(recover::SimErrorReason::InvalidSpec, "QueryEngine",
-                                "admission.maxInFlightBatches must be >= 0");
     obs::SpanGuard span("serve.engine.build",
                         {{"capacity", static_cast<long long>(options_.capacity)},
                          {"wordBits", options_.shard.wordBits}});
     bank_ = evaluateBank(options_.tech, options_.shard, options_.capacity, options_.workload,
-                         options_.encoder, recover::FailurePolicy::Strict,
+                         array::PriorityEncoderModel{}, recover::FailurePolicy::Strict,
                          cache_->provider());
     if (bank_.totalEntries > kMaxCapacity)
         throw recover::SimError(recover::SimErrorReason::InvalidSpec, "QueryEngine",
                                 "provisioned capacity exceeds functional storage limit");
     capacity_ = bank_.totalEntries;
 
-    // One backend per kChunkRows chunk, so a mutation clones one chunk, not
-    // the table; the last chunk holds the remainder.
-    std::vector<std::unique_ptr<MatchBackend>> chunks;
+    // One plane set per kChunkRows chunk, so a mutation clones one chunk,
+    // not the table; the last chunk holds the remainder.
+    std::vector<std::unique_ptr<tcam::TernaryPlanes>> chunks;
     for (std::int64_t begin = 0; begin < capacity_; begin += kChunkRows)
         chunks.push_back(makeMatchBackend(MatchBackendKind::BitPlane,
                                           std::min(kChunkRows, capacity_ - begin),
@@ -66,7 +63,7 @@ QueryEngine::QueryEngine(EngineOptions options, std::shared_ptr<Characterization
     publishTable(std::move(table));
 }
 
-void QueryEngine::attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& chunks) {
+void QueryEngine::attachTableLog(std::vector<std::unique_ptr<tcam::TernaryPlanes>>& chunks) {
     if (!options_.persistEntries || !options_.store.enabled()) return;
     store::StoreConfig cfg = options_.store;
     cfg.schemaVersion = kTableSchemaVersion;
@@ -158,7 +155,7 @@ void QueryEngine::publishTable(std::shared_ptr<const Table> next) {
 void QueryEngine::publishMutationLocked(std::int64_t row, const tcam::TernaryWord* word) {
     const auto chunk = static_cast<std::size_t>(row / kChunkRows);
     const std::int64_t local = row % kChunkRows;
-    const auto apply = [&](MatchBackend& target) {
+    const auto apply = [&](tcam::TernaryPlanes& target) {
         if (word)
             target.set(local, *word);
         else
@@ -298,14 +295,14 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
         const std::int64_t hi = std::min(lo + tileSize, n);
         // Each key is decomposed once per tile (widths were validated above)
         // and the prepared form is reused across every chunk scan.
-        std::vector<PreparedKey> prepared;
+        std::vector<tcam::KeySlices> prepared;
         prepared.reserve(static_cast<std::size_t>(hi - lo));
         for (std::int64_t i = lo; i < hi; ++i)
-            prepared.push_back(MatchBackend::prepare(keys[static_cast<std::size_t>(i)]));
+            prepared.push_back(tcam::TernaryPlanes::prepare(keys[static_cast<std::size_t>(i)]));
         for (std::size_t c = 0; c < chunks.size(); ++c) {
             // Chunk c holds global rows [c * kChunkRows, ...) locally.
             const auto begin = static_cast<std::int64_t>(c) * kChunkRows;
-            const MatchBackend& chunk = *chunks[c];
+            const tcam::TernaryPlanes& chunk = *chunks[c];
             for (std::int64_t i = lo; i < hi; ++i) {
                 // Deadline-shed queries never reach the scan: mark and skip.
                 if (expired && (*expired)[static_cast<std::size_t>(i)]) {
@@ -398,18 +395,18 @@ SimilarityBatchResult QueryEngine::similarityBatch(
     numeric::parallelFor(jobs, tiles, [&](int tile) {
         const std::int64_t lo = static_cast<std::int64_t>(tile) * tileSize;
         const std::int64_t hi = std::min(lo + tileSize, n);
-        std::vector<PreparedKey> prepared;
+        std::vector<tcam::KeySlices> prepared;
         prepared.reserve(static_cast<std::size_t>(hi - lo));
         std::vector<sim::TopSelector> selectors;
         selectors.reserve(static_cast<std::size_t>(hi - lo));
         for (std::int64_t i = lo; i < hi; ++i) {
-            prepared.push_back(MatchBackend::prepare(keys[static_cast<std::size_t>(i)]));
+            prepared.push_back(tcam::TernaryPlanes::prepare(keys[static_cast<std::size_t>(i)]));
             selectors.emplace_back(options);
         }
         std::vector<std::size_t> counts(static_cast<std::size_t>(kChunkRows));
         for (std::size_t c = 0; c < chunks.size(); ++c) {
             const auto begin = static_cast<std::int64_t>(c) * kChunkRows;
-            const MatchBackend& chunk = *chunks[c];
+            const tcam::TernaryPlanes& chunk = *chunks[c];
             for (std::int64_t i = lo; i < hi; ++i) {
                 chunk.mismatchCounts(prepared[static_cast<std::size_t>(i - lo)],
                                      counts.data());
@@ -484,27 +481,10 @@ SubmitResult QueryEngine::submitBatch(const std::vector<tcam::TernaryWord>& keys
         throw recover::SimError(recover::SimErrorReason::InvalidSpec,
                                 "QueryEngine::submitBatch",
                                 "deadlines must align with keys");
-    const int limit = options_.admission.maxInFlightBatches;
-    // fetch_add-then-check keeps the bound exact under races: whoever reads
-    // a pre-increment count at or above the limit backs out, so at most
-    // `limit` submissions ever run concurrently.
-    if (inFlight_.fetch_add(1, std::memory_order_acq_rel) >= limit && limit > 0) {
-        inFlight_.fetch_sub(1, std::memory_order_acq_rel);
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++stats_.shed;
-        }
-        if (obs::enabled()) {
-            static obs::Counter& shed = obs::counter("serve.admission.shed");
-            shed.add();
-        }
-        return {BatchAdmission::Shed, {}};
-    }
-
-    // Admitted. Record how long the front-end's oldest query queued before
-    // the engine picked the batch up — the satellite metric CI diffs under
-    // load — and evaluate deadlines exactly once, at admission: a query
-    // whose deadline has already passed is shed before any entry is scanned.
+    // Record how long the front-end's oldest query queued before the engine
+    // picked the batch up — the satellite metric CI diffs under load — and
+    // evaluate deadlines exactly once, here: a query whose deadline has
+    // already passed is shed before any entry is scanned.
     const double now = obs::monotonicSeconds();
     if (obs::enabled() && opts.enqueuedAt > 0.0) {
         static obs::Histogram& queueWait = obs::histogram("serve.admission.queue_wait");
@@ -523,23 +503,7 @@ SubmitResult QueryEngine::submitBatch(const std::vector<tcam::TernaryWord>& keys
         }
     }
 
-    SubmitResult out;
-    try {
-        out.result = searchBatchMasked(keys, anyExpired ? &expired : nullptr, jobs);
-    } catch (...) {
-        inFlight_.fetch_sub(1, std::memory_order_acq_rel);
-        throw;
-    }
-    inFlight_.fetch_sub(1, std::memory_order_acq_rel);
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.accepted;
-    }
-    if (obs::enabled()) {
-        static obs::Counter& accepted = obs::counter("serve.admission.accepted");
-        accepted.add();
-    }
-    return out;
+    return {searchBatchMasked(keys, anyExpired ? &expired : nullptr, jobs)};
 }
 
 store::StoreStatus QueryEngine::tableLogStatus() const {
@@ -574,10 +538,8 @@ std::string QueryEngine::report() const {
     os << "serve::QueryEngine " << capacity() << " words (" << shards() << " shards x "
        << rowsPerShard() << " rows, " << wordBits() << "b, bitplane backend)\n";
     os << "  occupancy      " << occupancy() << "\n";
-    os << "  queries        " << s.queries << " (" << s.hits << " hits, "
-       << s.batches << " batches)\n";
-    os << "  admission      " << s.accepted << " accepted / " << s.shed << " shed / "
-       << s.deadlineExpired << " deadline-expired\n";
+    os << "  queries        " << s.queries << " (" << s.hits << " hits, " << s.batches
+       << " batches, " << s.deadlineExpired << " deadline-expired)\n";
     os << "  writes         " << s.inserts << " inserts / " << s.erases << " erases\n";
     os << "  similarity     " << s.simQueries << " queries (" << s.simRows << " rows, "
        << s.simBatches << " batches)\n";

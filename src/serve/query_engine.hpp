@@ -19,11 +19,11 @@
 //     of shard.rows; only the energy accounting follows the priced shards.
 // Incoming queries batch, and batches fan out across worker threads with
 // numeric::parallelFor (deterministic for any jobs value). Each chunk is a
-// MatchBackend: the 2FeFET cell's kill planes, the whole 1024-row chunk
-// cleared per key bit (see match_backend.hpp).
+// tcam::TernaryPlanes: the 2FeFET cell's kill planes, the whole 1024-row
+// chunk cleared per key bit (see tcam/bitplanes.hpp).
 //
 // Concurrency: mutations are safe while batches are in flight. The table is
-// one published root — a shared_ptr to a vector of per-chunk MatchBackend
+// one published root — a shared_ptr to a vector of per-chunk plane
 // snapshots. A search pins that root once per batch (under a leaf mutex held
 // only for the pin) and scans a fully consistent version of every chunk.
 // Mutations are serialized by a writer mutex and, like Arc::make_mut, copy
@@ -67,18 +67,18 @@
 // records do not fit this engine's geometry, degrades to memory-only
 // entries with a typed error in tableLogStatus() — never a wrong table.
 //
-// Admission control: submitBatch() bounds the number of concurrently
-// in-flight batches (EngineOptions.admission) and sheds the excess with a
-// typed result instead of queueing unboundedly — what a loaded service does
-// when offered queries/s exceeds what the worker team sustains.
+// Deadlines: submitBatch() takes a front-end's per-query deadlines and
+// sheds the queries already past theirs before any entry is scanned;
+// overload is bounded by the front-end (net::Server's maxPendingQueries).
 //
 // obs integration (when obs::enabled()): serve.queries / serve.hits /
-// serve.batches counters, serve.admission.accepted / serve.admission.shed,
-// serve.writes.inserts / serve.writes.erases / serve.writes.chunk_copies
-// (mutations that cloned a chunk because a reader was pinned), a
-// serve.write.energy gauge, serve.qps, a serve.batch.seconds histogram,
-// serve.cache.* from the underlying cache, and store.* from its persistent
-// backing.
+// serve.batches counters, the serve.admission.queue_wait histogram and
+// serve.admission.deadline_expired counter (names kept for CI and the
+// end-to-end benchmark), serve.writes.inserts / serve.writes.erases /
+// serve.writes.chunk_copies (mutations that cloned a chunk because a reader
+// was pinned), a serve.write.energy gauge, serve.qps, a serve.batch.seconds
+// histogram, serve.cache.* from the underlying cache, and store.* from its
+// persistent backing.
 #pragma once
 
 #include <atomic>
@@ -98,12 +98,6 @@
 
 namespace fetcam::serve {
 
-struct AdmissionOptions {
-    /// Batches allowed in flight at once through submitBatch(); offered
-    /// batches beyond this are shed with a typed result. 0 = unbounded.
-    int maxInFlightBatches = 0;
-};
-
 struct EngineOptions {
     device::TechCard tech = device::TechCard::cmos45();
     /// Priced sub-array geometry; shard.rows is the shard size the bank
@@ -112,7 +106,6 @@ struct EngineOptions {
     /// Total words the engine must hold (rounded up to whole shards).
     std::int64_t capacity = 0;
     array::WorkloadProfile workload;
-    array::PriorityEncoderModel encoder;
     /// Queries per fan-out tile: batches split into tiles of this many
     /// queries and tiles run across the worker team.
     int batchSize = 4096;
@@ -124,7 +117,6 @@ struct EngineOptions {
     /// restart serves the mutated table (see tableLogStatus()). Requires
     /// store.dir; ignored without it.
     bool persistEntries = false;
-    AdmissionOptions admission;
     /// Not read by the engine: MatchBackendKind has one value, and the field
     /// stays only because the frozen end-to-end benchmark still sets it.
     MatchBackendKind backend = MatchBackendKind::BitPlane;
@@ -168,8 +160,6 @@ struct EngineStats {
     std::int64_t hits = 0;
     std::int64_t batches = 0;
     double searchEnergy = 0.0;  ///< [J] accumulated
-    std::int64_t accepted = 0;  ///< batches admitted through submitBatch
-    std::int64_t shed = 0;      ///< batches refused by admission control
     std::int64_t deadlineExpired = 0;  ///< queries shed by their deadline
     // --- mutation accounting (each effective insert/erase is charged the
     // --- full word program/erase sequence from tcam::planWordWrite) ---
@@ -185,28 +175,29 @@ struct EngineStats {
     double simEnergy = 0.0;       ///< [J] accumulated MLC search energy
 };
 
-/// Typed outcome of an admission-controlled submission.
+/// Whether a front-end ran a request or shed it (net::Server's overload and
+/// drain replies carry it as a byte).
 enum class BatchAdmission {
-    Accepted,  ///< ran; `result` is valid
-    Shed,      ///< refused: too many batches already in flight
+    Accepted,  ///< ran
+    Shed,      ///< refused by the front-end's overload bound or drain
 };
 
 struct SubmitResult {
-    BatchAdmission admission = BatchAdmission::Accepted;
-    BatchResult result;  ///< valid only when admitted
-    bool admitted() const { return admission == BatchAdmission::Accepted; }
+    BatchResult result;
 };
 
 /// Deadline / queueing context a front-end attaches to a submission. All
 /// times are absolute obs::monotonicSeconds() values.
 struct SubmitOptions {
     /// Per-query absolute deadlines aligned with `keys` (0 = no deadline for
-    /// that query); queries whose deadline has already passed at admission
-    /// are shed *before* any entry is scanned (rows[i] = kRowDeadlineExpired)
-    /// and charged no search energy. nullptr = no deadlines.
+    /// that query); queries whose deadline has already passed when the
+    /// engine picks the batch up are shed *before* any entry is scanned
+    /// (rows[i] = kRowDeadlineExpired) and charged no search energy.
+    /// nullptr = no deadlines.
     const std::vector<double>* deadlines = nullptr;
     /// When the front-end first queued the batch's oldest query; > 0 feeds
-    /// the serve.admission.queue_wait histogram at admission time.
+    /// the serve.admission.queue_wait histogram when the engine picks the
+    /// batch up.
     double enqueuedAt = 0.0;
 };
 
@@ -248,23 +239,16 @@ public:
     /// sees one consistent table version.
     BatchResult searchBatch(const std::vector<tcam::TernaryWord>& keys, int jobs = 0);
 
-    /// searchBatch behind admission control: when
-    /// options.admission.maxInFlightBatches concurrent submissions are
-    /// already running, the batch is shed (typed result, no partial work, no
-    /// query accounting) instead of queueing. Thread-safe, including against
-    /// concurrent entry mutations.
+    /// searchBatch, as the end-to-end benchmark calls it.
     SubmitResult submitBatch(const std::vector<tcam::TernaryWord>& keys, int jobs = 0);
 
-    /// submitBatch with deadline / queue-wait context: queries whose
-    /// deadline expired before admission are shed unscanned (see
+    /// searchBatch with a front-end's deadline / queue-wait context: queries
+    /// whose deadline expired before the scan are shed unscanned (see
     /// SubmitOptions), counted in stats().deadlineExpired and the
     /// serve.admission.deadline_expired counter. `opts.deadlines`, when set,
     /// must be keys.size() long.
     SubmitResult submitBatch(const std::vector<tcam::TernaryWord>& keys,
                              const SubmitOptions& opts, int jobs = 0);
-
-    /// Batches currently inside submitBatch (admission gauge).
-    int inFlightBatches() const { return inFlight_.load(std::memory_order_relaxed); }
 
     // --- similarity serving (the second product surface) ---
     /// Batched similarity search: every key gets its best-first hit list
@@ -335,7 +319,7 @@ private:
     /// only through a pinned TableSnapshot; writers (under mutMutex_) read
     /// table_ directly and write a chunk in place or clone it
     /// (publishMutationLocked).
-    using Table = std::vector<std::shared_ptr<MatchBackend>>;
+    using Table = std::vector<std::shared_ptr<tcam::TernaryPlanes>>;
 
     /// A reader's pin on one root: counted in the engine's reader count for
     /// as long as it lives, so a writer knows whether any reader can see a
@@ -363,7 +347,7 @@ private:
     };
 
     /// The chunk holding global `row` (its local row is row % kChunkRows).
-    static const MatchBackend& chunkOf(const Table& table, std::int64_t row) {
+    static const tcam::TernaryPlanes& chunkOf(const Table& table, std::int64_t row) {
         return *table[static_cast<std::size_t>(row / kChunkRows)];
     }
 
@@ -392,7 +376,7 @@ private:
     sim::MlcCharacterization simCostLocked();
     /// Open the delta log and replay it into the pre-publication chunks.
     /// Constructor-only (no concurrency yet).
-    void attachTableLog(std::vector<std::unique_ptr<MatchBackend>>& chunks);
+    void attachTableLog(std::vector<std::unique_ptr<tcam::TernaryPlanes>>& chunks);
 
     EngineOptions options_;
     std::shared_ptr<CharacterizationCache> cache_;
@@ -421,7 +405,6 @@ private:
     std::int64_t restoredMutations_ = 0;  ///< set at construction only
     mutable std::mutex statsMutex_;  ///< guards stats_
     EngineStats stats_;
-    std::atomic<int> inFlight_{0};
 };
 
 }  // namespace fetcam::serve

@@ -51,7 +51,7 @@ int liveBlocks(const std::uint64_t* m) {
 
 }  // namespace
 
-KeySlices KeySlices::of(const TernaryWord& key) {
+KeySlices TernaryPlanes::prepare(const TernaryWord& key) {
     KeySlices s;
     s.plane.reserve(key.size());
     for (std::size_t b = 0; b < key.size(); ++b) {
@@ -95,7 +95,7 @@ void TernaryPlanes::clear(std::int64_t row) {
     occ_[static_cast<std::size_t>(row >> 6)] &= ~(std::uint64_t{1} << (row & 63));
 }
 
-std::optional<TernaryWord> TernaryPlanes::get(std::int64_t row) const {
+std::optional<TernaryWord> TernaryPlanes::at(std::int64_t row) const {
     if (!occupied(row)) return std::nullopt;
     const std::int64_t group = row >> 10;
     const std::size_t stride = groupStride(group);
@@ -112,8 +112,8 @@ std::optional<TernaryWord> TernaryPlanes::get(std::int64_t row) const {
     return word;
 }
 
-std::int64_t TernaryPlanes::findFirstMatch(std::int64_t begin, std::int64_t end,
-                                           const KeySlices& key) const {
+std::int64_t TernaryPlanes::findFirst(std::int64_t begin, std::int64_t end,
+                                      const KeySlices& key) const {
     if (begin < 0) begin = 0;
     if (end > rows_) end = rows_;
     if (begin >= end) return -1;

@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -40,11 +41,10 @@
 namespace fetcam::tcam {
 
 /// A search key as the kill planes it selects: plane 2b + k for every
-/// definite position b holding k, ascending. Built once per key per batch;
-/// X positions are absent — they constrain nothing.
+/// definite position b holding k, ascending. Built once per key per batch
+/// (TernaryPlanes::prepare); X positions are absent — they constrain nothing.
 struct KeySlices {
     std::vector<std::uint16_t> plane;
-    static KeySlices of(const TernaryWord& key);
 };
 
 /// Sentinel mismatch count for unoccupied rows.
@@ -78,12 +78,22 @@ public:
 
     /// The word stored at `row`, decoded exactly from the planes (kill[2b]
     /// -> One, kill[2b+1] -> Zero, neither -> X); nullopt when unoccupied.
-    std::optional<TernaryWord> get(std::int64_t row) const;
+    /// Introspection, not hot path.
+    std::optional<TernaryWord> at(std::int64_t row) const;
+
+    /// Deep copy with identical entries — the query engine's copy-on-write
+    /// primitive. A clone and its source never share storage.
+    std::unique_ptr<TernaryPlanes> clone() const {
+        return std::make_unique<TernaryPlanes>(*this);
+    }
+
+    /// Decompose a key into the kill planes it selects; the caller has
+    /// checked its width, and reuses the result across every scan.
+    static KeySlices prepare(const TernaryWord& key);
 
     /// Lowest occupied row in [begin, end) matching `key`, or -1 — the
-    /// shard-local priority encoder. begin/end need not be 64-aligned.
-    std::int64_t findFirstMatch(std::int64_t begin, std::int64_t end,
-                                const KeySlices& key) const;
+    /// chunk-local priority encoder. begin/end need not be 64-aligned.
+    std::int64_t findFirst(std::int64_t begin, std::int64_t end, const KeySlices& key) const;
 
     /// Per-row mismatch counts (definite-and-differing positions) for all
     /// rows into out[0 .. rows()); unoccupied rows get kNoEntry.

@@ -1,7 +1,5 @@
 #include "tcam/mlc_encode.hpp"
 
-#include <cstdlib>
-
 #include "device/mlc.hpp"
 #include "recover/sim_error.hpp"
 
@@ -15,32 +13,6 @@ int mlcCellsPerWord(int wordBits, int bitsPerCell) {
         throw recover::SimError(recover::SimErrorReason::InvalidSpec, "mlcCellsPerWord",
                                 "bitsPerCell must be in [1, 4]");
     return (wordBits + bitsPerCell - 1) / bitsPerCell;
-}
-
-std::vector<int> mlcEncode(const TernaryWord& word, int bitsPerCell) {
-    const int bits = static_cast<int>(word.size());
-    const int cells = mlcCellsPerWord(bits, bitsPerCell);
-    std::vector<int> out(static_cast<std::size_t>(cells), 0);
-    for (int b = 0; b < bits; ++b) {
-        const Trit t = word[static_cast<std::size_t>(b)];
-        if (t == Trit::X)
-            throw recover::SimError(recover::SimErrorReason::InvalidSpec, "mlcEncode",
-                                    "wildcards have no MLC level; store X rows on "
-                                    "binary cells");
-        if (t == Trit::One)
-            out[static_cast<std::size_t>(b / bitsPerCell)] |= 1 << (b % bitsPerCell);
-    }
-    return out;
-}
-
-std::int64_t mlcLevelDistance(const std::vector<int>& a, const std::vector<int>& b) {
-    if (a.size() != b.size())
-        throw recover::SimError(recover::SimErrorReason::InvalidSpec, "mlcLevelDistance",
-                                "encoded words have different cell counts");
-    std::int64_t sum = 0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        sum += std::abs(static_cast<std::int64_t>(a[i]) - static_cast<std::int64_t>(b[i]));
-    return sum;
 }
 
 }  // namespace fetcam::tcam

@@ -1,39 +1,20 @@
-// MLC word encoding: pack groups of bits into multi-level cells.
+// MLC word packing: how many multi-level cells a word occupies.
 //
 // A multi-level FeFET cell stores bitsPerCell bits as one of 2^bitsPerCell
-// polarization levels (device/mlc.hpp). This module is the functional side
-// of that packing: how a definite TernaryWord maps onto per-cell level
-// indices, and what aggregate level distance two encoded words have — the
-// quantity the matchline discharge rate of a distance-tolerant MLC sense
-// is proportional to.
-//
-// Wildcards are deliberately rejected: an X trit has no level — ternary
-// don't-care rows stay on binary (1-bit) cells, which is also what the
-// similarity workloads store. The serving-layer distance metric remains
-// bitwise Hamming over trits (TernaryWord::mismatchCount — the exact
-// functional contract); the MLC encoding exists to price energy/margin and
-// to model the analog discharge, not to change match semantics.
+// polarization levels (device/mlc.hpp), so a word of wordBits bits spans
+// ceil(wordBits / bitsPerCell) cells — the count sim::characterizeMlc scales
+// the similarity search's line energy by. Ternary don't-care rows stay on
+// binary (1-bit) cells; the serving-layer distance metric remains bitwise
+// Hamming over trits (TernaryWord::mismatchCount — the exact functional
+// contract). The MLC packing prices energy/margin, it does not change match
+// semantics.
 #pragma once
-
-#include <cstdint>
-#include <vector>
-
-#include "tcam/ternary.hpp"
 
 namespace fetcam::tcam {
 
 /// Cells needed to hold `wordBits` bits at `bitsPerCell` bits each (the
 /// last cell may be partially used). Throws SimError(InvalidSpec) on
-/// non-positive arguments.
+/// non-positive arguments or bitsPerCell above device::kMaxMlcBitsPerCell.
 int mlcCellsPerWord(int wordBits, int bitsPerCell);
-
-/// Per-cell level indices for a fully definite word. Bit j of cell c is
-/// word[c * bitsPerCell + j] (LSB-first within the cell). Throws
-/// SimError(InvalidSpec) on wildcards or an invalid bitsPerCell.
-std::vector<int> mlcEncode(const TernaryWord& word, int bitsPerCell);
-
-/// Aggregate cell-level distance between two encoded words: sum over cells
-/// of |levelA - levelB|. Throws SimError(InvalidSpec) on length mismatch.
-std::int64_t mlcLevelDistance(const std::vector<int>& a, const std::vector<int>& b);
 
 }  // namespace fetcam::tcam

@@ -67,6 +67,20 @@ std::size_t TernaryWord::wildcardCount() const {
     return n;
 }
 
+void appendTritBytes(std::string& out, const TernaryWord& word) {
+    for (std::size_t i = 0; i < word.size(); ++i) out.push_back(static_cast<char>(word[i]));
+}
+
+std::optional<TernaryWord> parseTritBytes(std::string_view bytes) {
+    TernaryWord word(bytes.size());
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        const auto trit = static_cast<std::uint8_t>(bytes[i]);
+        if (trit > 2) return std::nullopt;
+        word[i] = static_cast<Trit>(trit);
+    }
+    return word;
+}
+
 std::int64_t referenceFindFirst(const std::vector<std::optional<TernaryWord>>& rows,
                                 const TernaryWord& key, std::int64_t begin, std::int64_t end) {
     end = std::min(end, static_cast<std::int64_t>(rows.size()));

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fetcam::tcam {
@@ -59,6 +60,15 @@ public:
 private:
     std::vector<Trit> trits_;
 };
+
+/// The trit-byte form the wire protocol and the entry delta log share: one
+/// byte per trit, byte i = word[i]'s Trit value (0, 1 or 2), appended to
+/// `out`.
+void appendTritBytes(std::string& out, const TernaryWord& word);
+
+/// Inverse of appendTritBytes: a bytes.size()-trit word, or nullopt when a
+/// byte lies outside {0, 1, 2}. Each caller reports the rejection its own way.
+std::optional<TernaryWord> parseTritBytes(std::string_view bytes);
 
 /// The reference priority scan: lowest occupied row in
 /// [begin, min(end, rows.size())) whose word matches `key`, or -1. Row at a

@@ -30,6 +30,7 @@
 #include "numeric/stats.hpp"
 #include "obs/obs.hpp"
 #include "recover/sim_error.hpp"
+#include "serve/delta_log.hpp"
 #include "serve/query_engine.hpp"
 #include "sim/similarity.hpp"
 #include "store/char_store.hpp"
@@ -879,6 +880,46 @@ TEST(ChurnPersistence, GoldenTableLogBytes) {
     EXPECT_EQ(hexOf(snapshot[1].payload), "0100010001000100");
 
     fs::remove_all(dir);
+}
+
+// Every malformed delta record is refused with CorruptData, whichever field
+// is wrong; the well-formed insert and erase they are cut from round-trip.
+TEST(ChurnPersistence, UnpackDeltaRejectsEveryMalformedRecord) {
+    const auto word = tcam::TernaryWord::fromString("01X10X01");
+    const store::Record insert = serve::packDelta(3, &word);
+    const store::Record erase = serve::packDelta(3, nullptr);
+    const auto decoded = serve::unpackDelta(insert, 8);
+    EXPECT_EQ(decoded.row, 3);
+    EXPECT_EQ(decoded.word, word);
+    EXPECT_EQ(serve::unpackDelta(erase, 8).word, std::nullopt);
+
+    struct Case {
+        const char* what;
+        store::Record record;
+        int wordBits = 8;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"trit byte 3", insert});
+    cases.back().record.payload[2] = 3;
+    cases.push_back({"unknown op", insert});
+    cases.back().record.key[1] = 3;
+    cases.push_back({"negative row", serve::packDelta(-1, &word)});
+    cases.push_back({"erase with a payload", erase});
+    cases.back().record.payload = std::string(8, '\0');
+    cases.push_back({"short key", insert});
+    cases.back().record.key.pop_back();
+    cases.push_back({"wrong version byte", insert});
+    cases.back().record.key[0] = static_cast<char>(serve::kTableSchemaVersion + 1);
+    cases.push_back({"wrong width", insert, 7});
+
+    for (const auto& c : cases) {
+        try {
+            serve::unpackDelta(c.record, c.wordBits);
+            ADD_FAILURE() << c.what << ": accepted";
+        } catch (const recover::SimError& e) {
+            EXPECT_EQ(e.reason(), recover::SimErrorReason::CorruptData) << c.what;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ TEST(MatchBackend, DifferentialFuzzAgainstNaiveReference) {
         for (const int bits : {64, 256}) cases.emplace_back(bits, rows);
     for (const auto& [bits, rows] : cases) {
         Reference reference(static_cast<std::size_t>(rows));
-        serve::MatchBackend planes(rows, bits);
+        tcam::TernaryPlanes planes(bits, rows);
         const auto store = [&](std::int64_t r, const tcam::TernaryWord& w) {
             reference[static_cast<std::size_t>(r)] = w;
             planes.set(r, w);
@@ -205,7 +205,7 @@ TEST(MatchBackend, MismatchCountsWildcardRowsAtWordBoundaries) {
     for (const auto& [bits, rows] : cases) {
         for (const double xDensity : {0.0, 0.5, 1.0}) {
             Reference reference(static_cast<std::size_t>(rows));
-            serve::MatchBackend planes(rows, bits);
+            tcam::TernaryPlanes planes(bits, rows);
 
             for (std::int64_t r = 0; r < rows; ++r) {
                 if (r % 9 == 4) continue;  // empty slots stay kNoEntry

@@ -9,11 +9,9 @@
 //      app services reproduce their reference implementations exactly.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "numeric/stats.hpp"
@@ -434,65 +432,16 @@ TEST(CharCache, KeyLeadsWithSchemaVersionByte) {
     EXPECT_EQ(static_cast<std::uint8_t>(key[0]), serve::kCharSchemaVersion);
 }
 
-TEST(QueryEngineAdmission, UnboundedAndSequentialSubmitsAreAccepted) {
-    auto options = smallOptions();
-    serve::QueryEngine unbounded(options);  // maxInFlightBatches = 0
-    unbounded.insert(tcam::TernaryWord::fromBits(5, 8));
+TEST(QueryEngine, SubmitBatchMatchesSearchBatch) {
+    serve::QueryEngine engine(smallOptions());
+    engine.insert(tcam::TernaryWord::fromBits(5, 8));
 
     const std::vector<tcam::TernaryWord> keys = {tcam::TernaryWord::fromBits(5, 8),
                                                  tcam::TernaryWord::fromBits(9, 8)};
-    const auto direct = unbounded.searchBatch(keys);
-    auto submitted = unbounded.submitBatch(keys);
-    ASSERT_TRUE(submitted.admitted());
+    const auto direct = engine.searchBatch(keys);
+    const auto submitted = engine.submitBatch(keys);
     EXPECT_EQ(submitted.result.rows, direct.rows);
     EXPECT_EQ(submitted.result.hits, direct.hits);
-
-    // A bound of 1 never sheds sequential submissions.
-    options.admission.maxInFlightBatches = 1;
-    serve::QueryEngine bounded(options);
-    bounded.insert(tcam::TernaryWord::fromBits(5, 8));
-    for (int i = 0; i < 3; ++i)
-        EXPECT_TRUE(bounded.submitBatch(keys).admitted());
-    const auto stats = bounded.stats();
-    EXPECT_EQ(stats.accepted, 3);
-    EXPECT_EQ(stats.shed, 0);
-    EXPECT_EQ(bounded.inFlightBatches(), 0);
-}
-
-TEST(QueryEngineAdmission, ConcurrentOverloadSheds) {
-    auto options = smallOptions();
-    options.admission.maxInFlightBatches = 1;
-    serve::QueryEngine engine(options);
-    engine.insert(tcam::TernaryWord::fromBits(5, 8));
-
-    // Probe only once the bulk batch is observed in flight, so the probe
-    // collides with it: no attempt can pass without a collision. A bulk that
-    // finishes before it is seen in flight (or between that sighting and
-    // the probe) proves nothing either way; only then retry, with more keys.
-    const std::vector<tcam::TernaryWord> probe = {tcam::TernaryWord::fromBits(5, 8)};
-    bool shedObserved = false;
-    std::int64_t big = 1 << 16;
-    for (int attempt = 0; attempt < 4 && !shedObserved; ++attempt, big *= 2) {
-        const std::vector<tcam::TernaryWord> bulk(
-            static_cast<std::size_t>(big), tcam::TernaryWord::fromBits(5, 8));
-        serve::SubmitResult bulkResult;
-        std::atomic<bool> bulkDone{false};
-        std::thread worker([&] {
-            bulkResult = engine.submitBatch(bulk, /*jobs=*/1);
-            bulkDone.store(true);
-        });
-        while (!bulkDone.load() && engine.inFlightBatches() == 0) std::this_thread::yield();
-        if (engine.inFlightBatches() > 0) shedObserved = !engine.submitBatch(probe, 1).admitted();
-        worker.join();
-        EXPECT_TRUE(bulkResult.admitted());
-    }
-    EXPECT_TRUE(shedObserved);
-    const auto stats = engine.stats();
-    EXPECT_GT(stats.shed, 0);
-    // Shed batches did zero work: every counted query belongs to an admitted
-    // batch (the bulks plus the admitted single-key probes).
-    EXPECT_EQ(stats.batches, stats.accepted);
-    EXPECT_EQ(engine.inFlightBatches(), 0);
 }
 
 TEST(QueryEngineStore, WarmRestartServesIdenticalResults) {
@@ -562,7 +511,6 @@ TEST(QueryEngineDeadline, ExpiredQueriesShedBeforeSimulation) {
     serve::SubmitOptions opts;
     opts.deadlines = &deadlines;
     const auto out = engine.submitBatch(keys, opts);
-    ASSERT_TRUE(out.admitted());
 
     EXPECT_EQ(out.result.rows[0], serve::kRowDeadlineExpired);
     EXPECT_EQ(out.result.rows[1], 0);
@@ -586,7 +534,6 @@ TEST(QueryEngineDeadline, AllExpiredChargesNoEnergy) {
     serve::SubmitOptions opts;
     opts.deadlines = &deadlines;
     const auto out = engine.submitBatch(keys, opts);
-    ASSERT_TRUE(out.admitted());
     EXPECT_EQ(out.result.expired, 4);
     EXPECT_EQ(out.result.hits, 0);
     EXPECT_EQ(out.result.energy, 0.0);
@@ -614,7 +561,6 @@ TEST(QueryEngineDeadline, NoDeadlinesMatchesPlainSearch) {
     for (int i = 0; i < 8; ++i) keys.push_back(tcam::TernaryWord::fromBits(i, 8));
     const auto plain = a.searchBatch(keys);
     const auto submitted = b.submitBatch(keys, serve::SubmitOptions{});
-    ASSERT_TRUE(submitted.admitted());
     EXPECT_EQ(submitted.result.rows, plain.rows);
     EXPECT_EQ(submitted.result.hits, plain.hits);
     EXPECT_EQ(submitted.result.energy, plain.energy);

@@ -1,8 +1,8 @@
 // fetcam::sim contract tests — the similarity-search subsystem end to end.
 //
 // Four layers:
-//   1. Device/encoding — the MLC ladder (device::mlcLevels) and word
-//      packing (tcam::mlcEncode) invariants.
+//   1. Device/encoding — the MLC ladder (device::mlcLevels) and the cells a
+//      word packs into (tcam::mlcCellsPerWord).
 //   2. Characterization — sim::characterizeMlc scaling relations (margin
 //      divides by N-1, delays multiply by N-1), the distance-tolerant
 //      strobe equivalence t_row > strobe  <=>  d <= maxDistance, and
@@ -182,33 +182,13 @@ TEST(MlcDevice, LadderEvenlySpacedAndValidated) {
     EXPECT_THROW(device::mlcLevels(flat, 2), recover::SimError);
 }
 
-TEST(MlcEncode, PackingDistanceAndWildcardRejection) {
+TEST(MlcEncode, CellsPerWordRoundsUpAndRejectsBadArguments) {
     EXPECT_EQ(tcam::mlcCellsPerWord(8, 1), 8);
     EXPECT_EQ(tcam::mlcCellsPerWord(8, 2), 4);
     EXPECT_EQ(tcam::mlcCellsPerWord(7, 2), 4);  // last cell partially used
     EXPECT_EQ(tcam::mlcCellsPerWord(8, 3), 3);
     EXPECT_THROW(tcam::mlcCellsPerWord(0, 2), recover::SimError);
     EXPECT_THROW(tcam::mlcCellsPerWord(8, 0), recover::SimError);
-
-    const auto w = tcam::TernaryWord::fromBits(0b10110100, 8);
-    const auto levels = tcam::mlcEncode(w, 2);
-    ASSERT_EQ(levels.size(), 4u);
-    // Bit j of cell c is word[c*bitsPerCell + j], LSB-first within the cell.
-    for (std::size_t c = 0; c < 4; ++c) {
-        int expected = 0;
-        for (int j = 0; j < 2; ++j)
-            if (w[c * 2 + static_cast<std::size_t>(j)] == tcam::Trit::One)
-                expected |= 1 << j;
-        EXPECT_EQ(levels[c], expected) << "cell " << c;
-    }
-
-    tcam::TernaryWord masked(8, tcam::Trit::Zero);
-    masked[3] = tcam::Trit::X;  // an X trit has no level
-    EXPECT_THROW(tcam::mlcEncode(masked, 2), recover::SimError);
-
-    EXPECT_EQ(tcam::mlcLevelDistance({0, 3, 1}, {3, 3, 2}), 4);
-    EXPECT_EQ(tcam::mlcLevelDistance({}, {}), 0);
-    EXPECT_THROW(tcam::mlcLevelDistance({0}, {0, 1}), recover::SimError);
 }
 
 // --- characterization ------------------------------------------------------

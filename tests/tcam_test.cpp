@@ -111,13 +111,13 @@ TEST(TernaryPlanes, OverwriteDecodesEveryTritTransitionExactly) {
             planes.set(row, first);
             planes.set(row, second);
             reference[static_cast<std::size_t>(row)] = second;
-            ASSERT_EQ(planes.get(row), second) << second.toString();
+            ASSERT_EQ(planes.at(row), second) << second.toString();
             for (const auto& key : keys) {
-                const auto slices = tcam::KeySlices::of(key);
-                ASSERT_EQ(planes.findFirstMatch(row, row + 1, slices),
+                const auto slices = tcam::TernaryPlanes::prepare(key);
+                ASSERT_EQ(planes.findFirst(row, row + 1, slices),
                           second.matches(key) ? row : -1)
                     << key.toString();
-                ASSERT_EQ(planes.findFirstMatch(0, kRows, slices),
+                ASSERT_EQ(planes.findFirst(0, kRows, slices),
                           tcam::referenceFindFirst(reference, key))
                     << key.toString();
             }
@@ -125,7 +125,7 @@ TEST(TernaryPlanes, OverwriteDecodesEveryTritTransitionExactly) {
     }
     // The overwrites disturbed no other row.
     for (std::int64_t r = 0; r < kRows; ++r)
-        ASSERT_EQ(planes.get(r), reference[static_cast<std::size_t>(r)]) << "row " << r;
+        ASSERT_EQ(planes.at(r), reference[static_cast<std::size_t>(r)]) << "row " << r;
 }
 
 TEST(Cell, DeviceCounts) {

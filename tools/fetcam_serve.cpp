@@ -223,8 +223,6 @@ struct ServeSummary {
     std::string name;
     std::int64_t queries = 0;
     std::int64_t hits = 0;
-    std::int64_t accepted = 0;  ///< batches through engine admission control
-    std::int64_t shed = 0;      ///< batches refused by admission control
     std::int64_t deadlineExpired = 0;
     double seconds = 0.0;
     double qps = 0.0;
@@ -290,8 +288,6 @@ ServeSummary summarize(const std::string& name, const serve::QueryEngine& engine
     s.seconds = seconds;
     s.qps = static_cast<double>(queries) / seconds;
     const auto es = engine.stats();
-    s.accepted = es.accepted;
-    s.shed = es.shed;
     s.deadlineExpired = es.deadlineExpired;
     s.energyPerQuery = engine.energyPerQuery();
     s.latency = engine.queryLatency();
@@ -418,8 +414,6 @@ void writeJson(const std::string& path, const std::vector<ServeSummary>& summari
         os << "        \"name\": \"" << s.name << "\",\n";
         os << "        \"queries\": " << s.queries << ",\n";
         os << "        \"hits\": " << s.hits << ",\n";
-        os << "        \"accepted\": " << s.accepted << ",\n";
-        os << "        \"shed\": " << s.shed << ",\n";
         os << "        \"deadlineExpired\": " << s.deadlineExpired << ",\n";
         os << "        \"energyPerQueryJ\": " << s.energyPerQuery << ",\n";
         os << "        \"latencyS\": " << s.latency << ",\n";
@@ -468,8 +462,7 @@ void writeListenJson(const std::string& path, const net::Server& server,
     os << "  \"deterministic\": {\n";
     os << "    \"server\": " << server.statsJson() << ",\n";
     os << "    \"engine\": {\"queries\": " << es.queries << ", \"hits\": " << es.hits
-       << ", \"batches\": " << es.batches << ", \"accepted\": " << es.accepted
-       << ", \"shed\": " << es.shed << ", \"deadlineExpired\": " << es.deadlineExpired
+       << ", \"batches\": " << es.batches << ", \"deadlineExpired\": " << es.deadlineExpired
        << "},\n";
     os << "    \"writes\": {\"inserts\": " << es.inserts << ", \"erases\": " << es.erases
        << ", \"energyJ\": " << es.writeEnergy << ", \"latencyS\": " << es.writeLatency
