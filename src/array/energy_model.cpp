@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <map>
+#include <optional>
+#include <utility>
 
+#include "numeric/parallel.hpp"
 #include "numeric/stats.hpp"
+#include "obs/obs.hpp"
+#include "recover/fault_injection.hpp"
 #include "recover/sim_error.hpp"
 
 namespace fetcam::array {
@@ -55,6 +61,50 @@ struct StageSims {
     WordSimResult mismatch;
 };
 
+/// Run the calibration sims at the same time, one work item per sim. Every
+/// item runs whatever another raised and lands in its own slot, so neither
+/// the results nor a fault plan's counters depend on the schedule. A plan
+/// installed on the caller reaches each item as a fresh clone (solve
+/// ordinals restart per sim) whose counters are absorbed in index order.
+/// The error rethrown is the lowest index's, the one a serial loop raises.
+std::vector<WordSimResult> runCalibration(const std::vector<WordSimOptions>& runs,
+                                          const WordSimFn& sim) {
+    const std::size_t n = runs.size();
+    std::vector<WordSimResult> results(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::vector<std::pair<long long, long long>> faultCounts(n);
+    recover::FaultPlan* parentPlan = recover::FaultPlan::active();
+    const int callerDepth = obs::spanDepth();
+
+    numeric::parallelFor(-1, static_cast<int>(n), [&](int i) {
+        const auto k = static_cast<std::size_t>(i);
+        // A worker's span depth starts at 0: nest the sim under the caller.
+        int& depth = obs::spanDepth();
+        const int savedDepth = depth;
+        depth = callerDepth;
+        std::optional<recover::FaultPlan> plan;
+        std::optional<recover::ScopedFaultPlan> guard;
+        if (parentPlan) {
+            plan.emplace(parentPlan->specs());
+            guard.emplace(*plan);
+        }
+        try {
+            results[k] = sim ? sim(runs[k]) : simulateWordSearch(runs[k]);
+        } catch (...) {
+            errors[k] = std::current_exception();
+        }
+        if (plan) faultCounts[k] = {plan->solvesSeen(), plan->injectionCount()};
+        depth = savedDepth;
+    });
+
+    if (parentPlan)
+        for (const auto& [solves, injections] : faultCounts)
+            parentPlan->absorb(solves, injections);
+    for (const auto& e : errors)
+        if (e) std::rethrow_exception(e);
+    return results;
+}
+
 }  // namespace
 
 ArrayMetrics evaluateArray(const device::TechCard& tech, const ArrayConfig& config,
@@ -64,26 +114,27 @@ ArrayMetrics evaluateArray(const device::TechCard& tech, const ArrayConfig& conf
                                 "bad geometry");
 
     const auto widths = stageWidths(config);
-    const auto runSim = [&](const WordSimOptions& o) {
-        return sim ? sim(o) : simulateWordSearch(o);
-    };
 
-    // --- calibration circuit simulations, one pair per distinct stage width ---
-    std::map<int, StageSims> sims;
+    // --- calibration circuit simulations: for each distinct stage width,
+    // an exact match then a worst-case single mismatch ---
+    std::map<int, std::size_t> matchRun;  // width -> index of its match sim
+    std::vector<WordSimOptions> runs;
     for (int w : widths) {
-        if (sims.contains(w)) continue;
+        if (!matchRun.emplace(w, runs.size()).second) continue;
         WordSimOptions o;
         o.tech = tech;
         o.config = config;
         o.config.wordBits = w;
         o.stored = calibrationWord(w);
         o.key = o.stored;  // exact match
-        StageSims s;
-        s.match = runSim(o);
+        runs.push_back(o);
         o.key = keyWithMismatches(o.stored, 1);  // worst-case single mismatch
-        s.mismatch = runSim(o);
-        sims.emplace(w, std::move(s));
+        runs.push_back(std::move(o));
     }
+    auto results = runCalibration(runs, sim);
+    std::map<int, StageSims> sims;
+    for (const auto& [w, k] : matchRun)
+        sims.emplace(w, StageSims{std::move(results[k]), std::move(results[k + 1])});
 
     ArrayMetrics m;
     const auto& first = sims.at(widths.front());

@@ -23,7 +23,8 @@ namespace fetcam::array {
 /// every calibration circuit simulation through this hook, so a caller can
 /// substitute a memoizing provider (serve::CharacterizationCache) for the
 /// real solver; an empty function means simulateWordSearch. Providers must
-/// be deterministic: same options, bit-identical result.
+/// be deterministic (same options, bit-identical result) and safe to call
+/// concurrently: evaluateArray runs its calibration sims at the same time.
 using WordSimFn = std::function<WordSimResult(const WordSimOptions&)>;
 
 /// Workload statistics the analytic scaling needs.
@@ -59,8 +60,12 @@ struct ArrayMetrics {
 };
 
 /// Evaluate a full array configuration. Runs 2 word-level circuit
-/// simulations per distinct stage width (through `sim` when provided);
-/// everything else is analytic.
+/// simulations per distinct stage width (through `sim` when provided), all
+/// at the same time, at most one hardware thread each (inline inside
+/// another numeric::parallelFor); everything else is analytic. The results
+/// and the error raised are those of a serial loop in (width, match,
+/// mismatch) order. A fault plan installed on the caller reaches every sim
+/// as a clone (see recover/fault_injection.hpp).
 ArrayMetrics evaluateArray(const device::TechCard& tech, const ArrayConfig& config,
                            const WorkloadProfile& workload = {},
                            const WordSimFn& sim = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "device/fefet.hpp"
 #include "device/mosfet.hpp"
@@ -236,7 +237,10 @@ WordSimResult simulateWordSearch(const WordSimOptions& o) {
     spec.tstop = t.cycle();
     spec.dtMax = 10e-12;
     spec.initialConditions = w.initialConditions;
-    const auto tr = runTransient(c, spec);
+    // The measurements below read two nodes; keep every unknown only when
+    // the caller wants the full waveforms.
+    if (!o.recordWaveforms) spec.probes = {w.ml, w.saOut};
+    auto tr = runTransient(c, spec);
 
     WordSimResult r;
     r.expectedMatch = o.stored.matches(o.key);
@@ -301,7 +305,7 @@ WordSimResult simulateWordSearch(const WordSimOptions& o) {
     }
 
     if (o.recordWaveforms) {
-        r.waveforms = tr.waveforms;
+        r.waveforms = std::move(tr.waveforms);
         r.mlNode = w.ml;
         r.saOutNode = w.saOut;
     }

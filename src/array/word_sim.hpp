@@ -23,7 +23,9 @@ struct WordSimOptions {
     tcam::TernaryWord key;
     /// Optional per-cell Monte Carlo perturbations (size == wordBits).
     std::vector<tcam::CellVariation> variations;
-    /// Keep full waveforms in the result (benches plot from them).
+    /// Keep full waveforms in the result (benches plot from them). Without
+    /// it the solver records only the matchline and sense output, and the
+    /// result's waveforms stay empty.
     bool recordWaveforms = false;
 };
 

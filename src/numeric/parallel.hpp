@@ -21,7 +21,9 @@ int hardwareConcurrency();
 
 /// Process-wide default worker count used when a sweep is asked for `jobs=0`.
 /// Starts at 1 (serial) so library users opt in explicitly; the CLI/bench
-/// `--jobs` flags call setDefaultJobs.
+/// `--jobs` flags call setDefaultJobs. array::evaluateArray does not read
+/// it: its fan-out is its own calibration sims (2 per distinct stage
+/// width), always run with `jobs=-1`.
 int defaultJobs();
 
 /// Set the process-wide default worker count. `jobs <= 0` selects

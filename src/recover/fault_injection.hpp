@@ -22,11 +22,16 @@
 // installed on one thread is invisible to workers spawned by the parallel
 // sweep engine (numeric::parallelFor) — a plan is never shared across
 // threads. Sweeps that want faults inside their workers install their own
-// per-work-item plan on the worker thread: runMonteCarlo clones the caller's
-// plan per trial (fresh solve ordinals each trial, so injection windows are
-// trial-relative and independent of the execution schedule) and folds the
-// clones' counters back into the caller's plan with absorb(). Other parallel
-// sweeps (searchMany, tuner, design space) do not propagate plans.
+// per-work-item plan on the worker thread and fold the clones' counters
+// back into the caller's plan with absorb(), in work-item order:
+//   * runMonteCarlo clones the caller's plan per trial: solve ordinals
+//     restart each trial, so injection windows are trial-relative.
+//   * array::evaluateArray (and so evaluateBank and the engine's
+//     characterization) clones it per calibration sim: a window counts the
+//     solves within one word sim, not across the match/mismatch pair.
+// Either way the windows are independent of the execution schedule. Other
+// parallel sweeps (searchMany, tuner, design space) do not propagate plans
+// into their workers.
 #pragma once
 
 #include <limits>

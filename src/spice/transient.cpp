@@ -79,6 +79,14 @@ void validateTransientSpec(const TransientSpec& spec) {
 
 TransientResult runTransient(Circuit& circuit, const TransientSpec& spec) {
     validateTransientSpec(spec);
+    const auto checkNode = [&](NodeId node, const char* what) {
+        if (node < kGround || node >= circuit.numNodes())
+            throw recover::SimError(recover::SimErrorReason::InvalidSpec, "runTransient",
+                                    std::string(what) + " on unknown node " +
+                                        std::to_string(node));
+    };
+    for (const auto& [node, v] : spec.initialConditions) checkNode(node, "initial condition");
+    for (const NodeId node : spec.probes) checkNode(node, "probe");
     const double dtInitial = spec.dtInitial > 0.0 ? spec.dtInitial : spec.dtMax / 100.0;
 
     std::vector<double> x(static_cast<std::size_t>(circuit.numUnknowns()), 0.0);
@@ -98,7 +106,7 @@ TransientResult runTransient(Circuit& circuit, const TransientSpec& spec) {
     for (const auto& dev : circuit.devices()) dev->beginTransient(ctx);
 
     TransientResult result;
-    result.waveforms = Waveforms(circuit.numNodes(), circuit.numBranches());
+    result.waveforms = Waveforms(circuit.numNodes(), circuit.numBranches(), spec.probes);
     result.waveforms.record(0.0, x);
 
     const std::vector<double> breakpoints = collectBreakpoints(circuit, spec.tstop);

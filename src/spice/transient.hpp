@@ -31,6 +31,10 @@ struct TransientSpec {
 
     /// Initial node voltages (UIC). Unlisted nodes start at 0 V.
     std::vector<std::pair<NodeId, double>> initialConditions;
+
+    /// Nodes the result's waveforms keep. Empty keeps every unknown (all
+    /// node voltages and branch currents) at every accepted step.
+    std::vector<NodeId> probes;
 };
 
 /// Throws recover::SimError(InvalidSpec) on non-positive tstop/dtMax,
@@ -94,6 +98,8 @@ struct TransientResult {
 
 /// Run a transient; device internal state (polarization, filament, energy
 /// accumulators) is mutated in place, so query devices after the run.
+/// Throws recover::SimError(InvalidSpec) on an initial condition or probe
+/// naming a node outside the circuit.
 TransientResult runTransient(Circuit& circuit, const TransientSpec& spec);
 
 }  // namespace fetcam::spice

@@ -1,11 +1,22 @@
 // Array-layer tests: word-level search simulation across cell kinds and
-// sensing schemes, the analytic array energy model, and Monte Carlo.
+// sensing schemes, the analytic array energy model (including its
+// concurrent calibration sims under fault plans and tracing), and Monte
+// Carlo.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "array/bank.hpp"
 #include "array/energy_model.hpp"
 #include "array/montecarlo.hpp"
 #include "array/word_sim.hpp"
 #include "obs/obs.hpp"
+#include "obs/trace_reader.hpp"
+#include "recover/fault_injection.hpp"
 #include "recover/sim_error.hpp"
 
 using namespace fetcam;
@@ -203,6 +214,172 @@ TEST(EnergyModel, RejectsBadGeometry) {
     ArrayConfig cfg;
     cfg.wordBits = 0;
     EXPECT_THROW(evaluateArray(device::TechCard::cmos45(), cfg), recover::SimError);
+}
+
+// --- concurrent calibration sims -------------------------------------------
+
+namespace {
+
+constexpr long long kForever = std::numeric_limits<long long>::max();
+
+ArrayConfig calibrationConfig() {
+    ArrayConfig cfg;
+    cfg.cell = CellKind::FeFet2;
+    cfg.wordBits = 8;
+    cfg.rows = 16;
+    return cfg;
+}
+
+struct FaultedBank {
+    bool simFailed = false;
+    std::string failureSummary;
+    long long solves = 0;
+    long long injections = 0;
+};
+
+FaultedBank bankUnder(const recover::FaultSpec& fault) {
+    recover::FaultPlan plan;
+    plan.add(fault);
+    recover::ScopedFaultPlan guard(plan);
+    const auto b = array::evaluateBank(device::TechCard::cmos45(), calibrationConfig(), 32, {},
+                                       {}, recover::FailurePolicy::Lenient);
+    return {b.simFailed, b.failureSummary, plan.solvesSeen(), plan.injectionCount()};
+}
+
+/// The match and mismatch calibration sims, each run alone on a fresh plan.
+std::pair<long long, long long> soloCounts(const recover::FaultSpec& fault) {
+    long long solves = 0, injections = 0;
+    for (const int mismatches : {0, 1}) {
+        recover::FaultPlan plan;
+        plan.add(fault);
+        recover::ScopedFaultPlan guard(plan);
+        try {
+            simulateWordSearch(makeOptions(CellKind::FeFet2, SenseScheme::FullSwing, 8,
+                                           mismatches));
+        } catch (const recover::SimError&) {
+        }
+        solves += plan.solvesSeen();
+        injections += plan.injectionCount();
+    }
+    return {solves, injections};
+}
+
+}  // namespace
+
+TEST(CalibrationFaults, LenientBankIsScheduleIndependent) {
+    const recover::FaultSpec singular{recover::FaultKind::SingularStamp, 0, kForever, 1};
+    const auto first = bankUnder(singular);
+    EXPECT_TRUE(first.simFailed);
+    EXPECT_NE(first.failureSummary.find("singular"), std::string::npos)
+        << first.failureSummary;
+    // Each sim ran on its own clone of the plan, so the caller's counters
+    // are the two sims' counters run alone.
+    const auto [solves, injections] = soloCounts(singular);
+    EXPECT_GT(injections, 0);
+    EXPECT_EQ(first.solves, solves);
+    EXPECT_EQ(first.injections, injections);
+    for (int rep = 0; rep < 5; ++rep) {
+        const auto again = bankUnder(singular);
+        EXPECT_EQ(again.simFailed, first.simFailed);
+        EXPECT_EQ(again.failureSummary, first.failureSummary);
+        EXPECT_EQ(again.solves, first.solves);
+        EXPECT_EQ(again.injections, first.injections);
+    }
+}
+
+TEST(CalibrationFaults, InjectionWindowCountsSolvesWithinEachSim) {
+    // One poisoned solve per sim; the rescue ladder salvages each step.
+    const recover::FaultSpec once{recover::FaultKind::SingularStamp, 3, 4, 1};
+    const auto bank = bankUnder(once);
+    EXPECT_FALSE(bank.simFailed) << bank.failureSummary;
+    EXPECT_EQ(bank.injections, 2);
+    EXPECT_EQ(bank.solves, soloCounts(once).first);
+}
+
+TEST(CalibrationFaults, StrictBankRaisesTheSerialError) {
+    recover::FaultPlan solo;
+    solo.add({recover::FaultKind::SingularStamp, 0, kForever, 1});
+    std::string serialWhat;
+    recover::SimErrorReason serialReason = recover::SimErrorReason::InvalidSpec;
+    {
+        recover::ScopedFaultPlan guard(solo);
+        try {
+            simulateWordSearch(makeOptions(CellKind::FeFet2, SenseScheme::FullSwing, 8, 0));
+            FAIL() << "expected SimError";
+        } catch (const recover::SimError& e) {
+            serialWhat = e.what();
+            serialReason = e.reason();
+        }
+    }
+    recover::FaultPlan plan(solo.specs());
+    recover::ScopedFaultPlan guard(plan);
+    try {
+        array::evaluateBank(device::TechCard::cmos45(), calibrationConfig(), 32);
+        FAIL() << "expected SimError";
+    } catch (const recover::SimError& e) {
+        EXPECT_EQ(e.reason(), serialReason);
+        EXPECT_EQ(std::string(e.what()), serialWhat);
+    }
+}
+
+TEST(CalibrationFaults, StuckPolarizationPlanReachesEverySim) {
+    recover::FaultPlan plan;
+    plan.add({recover::FaultKind::StuckPolarization, 0, kForever, 0});
+    recover::ScopedFaultPlan guard(plan);
+    std::mutex mutex;
+    std::vector<std::pair<std::string, bool>> seen;  // (word/key, plan live)
+    const array::WordSimFn probe = [&](const WordSimOptions& o) {
+        const recover::FaultPlan* active = recover::FaultPlan::active();
+        const bool live = active != nullptr && active != &plan && active->stuckPolarization();
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.emplace_back(o.stored.toString() + "/" + o.key.toString(), live);
+        }
+        return array::simulateWordSearch(o);
+    };
+    auto cfg = calibrationConfig();
+    cfg.mlSegments = 3;  // stage widths 3, 3, 2: two distinct, four sims
+    array::evaluateBank(device::TechCard::cmos45(), cfg, 32, {}, {},
+                        recover::FailurePolicy::Strict, probe);
+    ASSERT_EQ(seen.size(), 4u);
+    for (const auto& [word, live] : seen) EXPECT_TRUE(live) << word;
+}
+
+TEST(CalibrationTrace, WordSearchSpansNestUnderTheCaller) {
+    const std::string path = ::testing::TempDir() + "calibration_trace.jsonl";
+    ASSERT_TRUE(obs::TraceSink::global().open(path));
+    auto cfg = calibrationConfig();
+    cfg.mlSegments = 3;
+    {
+        obs::SpanGuard outer("test.outer");
+        obs::SpanGuard caller("test.caller");
+        evaluateArray(device::TechCard::cmos45(), cfg);
+    }
+    obs::TraceSink::global().close();
+
+    const auto records = obs::readTraceFile(path);
+    const obs::TraceRecord* caller = nullptr;
+    for (const auto& r : records)
+        if (r.isSpan() && r.name == "test.caller") caller = &r;
+    ASSERT_NE(caller, nullptr);
+    EXPECT_EQ(caller->depth, 1);
+    int searches = 0, transients = 0;
+    for (const auto& r : records) {
+        if (!r.isSpan()) continue;
+        if (r.name == "array.word_search") {
+            ++searches;
+            EXPECT_EQ(r.depth, caller->depth + 1);
+        } else if (r.name == "spice.transient") {
+            ++transients;
+            EXPECT_EQ(r.depth, caller->depth + 2);
+        } else {
+            continue;
+        }
+        EXPECT_GE(r.ts, caller->ts);
+        EXPECT_LE(r.end(), caller->end());
+    }
+    EXPECT_EQ(searches, 4);
+    EXPECT_EQ(transients, 4);
 }
 
 TEST(MonteCarlo, ZeroSigmaIsErrorFreeAndTight) {

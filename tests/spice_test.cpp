@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "device/passives.hpp"
 #include "device/sources.hpp"
@@ -170,6 +173,10 @@ TEST(Transient, RejectsBadSpec) {
     spec.tstop = 1e-9;
     spec.dtMax = 0.0;
     EXPECT_THROW(runTransient(c, spec), recover::SimError);
+    // A node the circuit does not have would index past the unknown vector.
+    spec.dtMax = 1e-11;
+    spec.initialConditions = {{50, 1.0}};
+    EXPECT_THROW(runTransient(c, spec), recover::SimError);
 }
 
 TEST(Transient, InstrumentedRunStepEventsMatchCounters) {
@@ -272,6 +279,48 @@ TEST(Waveforms, InterpolationAndPeak) {
     EXPECT_DOUBLE_EQ(w.peakNode(1), 4.0);
     EXPECT_DOUBLE_EQ(w.finalNode(1), -4.0);
     EXPECT_DOUBLE_EQ(w.nodeAt(spice::kGround, 1.0), 0.0);
+}
+
+TEST(Waveforms, ProbedRecordReadsLikeTheFullRecord) {
+    const auto run = [](std::vector<spice::NodeId> probes) {
+        spice::Circuit c;
+        const auto vin = c.node("in");
+        const auto out = c.node("out");
+        c.add<VoltageSource>("V1", c, vin, spice::kGround,
+                             SourceWave::pulse(0.0, 1.0, 0.0, 1e-12, 1e-12, 1.0));
+        c.add<Resistor>("R1", vin, out, 10e3);
+        c.add<Capacitor>("C1", out, spice::kGround, 100e-15);
+        spice::TransientSpec spec;
+        spec.tstop = 5e-9;
+        spec.dtMax = 2e-11;
+        spec.probes = std::move(probes);
+        return runTransient(c, spec).waveforms;
+    };
+    const spice::NodeId in = 1, out = 2;
+    const auto full = run({});
+    const auto probed = run({out});
+    ASSERT_EQ(probed.time(), full.time());
+    EXPECT_EQ(probed.node(out), full.node(out));
+    for (const double t : {0.0, 0.37e-9, 1e-9, 2.5e-9, 5e-9})
+        EXPECT_EQ(probed.nodeAt(out, t), full.nodeAt(out, t)) << "t=" << t;
+    EXPECT_EQ(probed.finalNode(out), full.finalNode(out));
+    EXPECT_EQ(probed.peakNode(out), full.peakNode(out));
+    EXPECT_EQ(probed.nodeAt(spice::kGround, 1e-9), 0.0);
+
+    // Only the probed column was kept: other nodes and branches throw.
+    EXPECT_NO_THROW(full.branch(0));
+    EXPECT_THROW(probed.node(in), std::out_of_range);
+    EXPECT_THROW(probed.nodeAt(in, 1e-9), std::out_of_range);
+    EXPECT_THROW(probed.finalNode(in), std::out_of_range);
+    EXPECT_THROW(probed.peakNode(in), std::out_of_range);
+    EXPECT_THROW(probed.branch(0), std::out_of_range);
+    // A probe outside the circuit is a typed spec error.
+    try {
+        run({3});
+        FAIL() << "expected SimError";
+    } catch (const recover::SimError& e) {
+        EXPECT_EQ(e.reason(), recover::SimErrorReason::InvalidSpec);
+    }
 }
 
 TEST(Waveforms, NodeAtBoundaryAndNanQueries) {
