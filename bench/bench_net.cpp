@@ -151,14 +151,14 @@ ShedResult runDeadlineShed(std::int64_t queries, std::uint64_t seed) {
 
     const double e0 = engine.stats().searchEnergy;
     double t0 = now();
-    for (std::int64_t b = 0; b < batches; ++b) engine.submitBatch(keys, liveOpts, 1);
+    for (std::int64_t b = 0; b < batches; ++b) engine.searchBatch(keys, 1, liveOpts);
     r.liveQps = static_cast<double>(r.queries) / (now() - t0);
     r.liveEnergy = engine.stats().searchEnergy - e0;
 
     const double e1 = engine.stats().searchEnergy;
     t0 = now();
     for (std::int64_t b = 0; b < batches; ++b)
-        engine.submitBatch(keys, expiredOpts, 1);
+        engine.searchBatch(keys, 1, expiredOpts);
     r.expiredQps = static_cast<double>(r.queries) / (now() - t0);
     r.expiredEnergy = engine.stats().searchEnergy - e1;
 

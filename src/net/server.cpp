@@ -521,7 +521,7 @@ void Server::executeBatch(FlushReason reason) {
     serve::SubmitOptions opts;
     opts.deadlines = &deadlines;
     opts.enqueuedAt = taken.front().arrival;
-    const auto submitted = engine_.submitBatch(keys, opts, options_.jobs);
+    const auto result = engine_.searchBatch(keys, options_.jobs, opts);
     ++stats_.batches;
     if (obs::enabled()) {
         static obs::Counter& batches = obs::counter("net.batches");
@@ -544,9 +544,8 @@ void Server::executeBatch(FlushReason reason) {
         BatchReplyBody reply;
         reply.requestId = req.requestId;
         reply.admission = static_cast<std::uint8_t>(serve::BatchAdmission::Accepted);
-        reply.rows.assign(submitted.result.rows.begin() + static_cast<std::ptrdiff_t>(offset),
-                          submitted.result.rows.begin() +
-                              static_cast<std::ptrdiff_t>(offset + n));
+        reply.rows.assign(result.rows.begin() + static_cast<std::ptrdiff_t>(offset),
+                          result.rows.begin() + static_cast<std::ptrdiff_t>(offset + n));
         reply.status.reserve(n);
         for (const auto row : reply.rows) {
             if (row >= 0) {
@@ -568,8 +567,8 @@ void Server::executeBatch(FlushReason reason) {
         static obs::Counter& hits = obs::counter("net.hits");
         static obs::Counter& expired = obs::counter("net.deadline_expired");
         // Recount from the batch result once instead of per reply row.
-        hits.add(static_cast<long long>(submitted.result.hits));
-        expired.add(static_cast<long long>(submitted.result.expired));
+        hits.add(static_cast<long long>(result.hits));
+        expired.add(static_cast<long long>(result.expired));
     }
 }
 

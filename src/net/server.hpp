@@ -11,7 +11,7 @@
 //     options.coalesceWindow seconds, whichever is first; a request that
 //     arrives a whole window or more after the previous one (on any
 //     connection) expects no batchmate and flushes on arrival (flushBy),
-//   * propagates per-request deadlines into QueryEngine::submitBatch, so
+//   * propagates per-request deadlines into QueryEngine::searchBatch, so
 //     expired queries are shed before any entry is scanned and answered with
 //     a typed DeadlineExceeded status,
 //   * applies Mutate frames (insert / insertAt / erase) immediately on
@@ -144,7 +144,7 @@ struct ServerStats {
     std::int64_t misses = 0;
     std::int64_t shedQueries = 0;     ///< refused by overload protection / drain
     std::int64_t expiredQueries = 0;  ///< deadline passed before simulation
-    std::int64_t batches = 0;         ///< engine submitBatch calls
+    std::int64_t batches = 0;         ///< engine searchBatch calls
     std::int64_t mutateRequests = 0;  ///< Mutate frames parsed
     std::int64_t mutateOps = 0;       ///< ops inside those frames
     std::int64_t mutateFailed = 0;    ///< ops answered with a non-Ok status

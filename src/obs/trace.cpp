@@ -35,6 +35,13 @@ void appendNumber(std::string& out, double v) {
     out += buf;
 }
 
+/// This thread's trace id, assigned on its first record.
+int threadId() noexcept {
+    static std::atomic<int> next{1};
+    thread_local const int id = next.fetch_add(1, std::memory_order_relaxed);
+    return id;
+}
+
 }  // namespace
 
 TraceSink& TraceSink::global() {
@@ -99,6 +106,8 @@ void TraceSink::writeRecord(std::string_view type, std::string_view name, double
         line += ",\"dur\":";
         appendNumber(line, dur);
     }
+    line += ",\"tid\":";
+    line += std::to_string(threadId());
     line += ",\"depth\":";
     appendNumber(line, depth);
     for (std::size_t i = 0; i < numFields; ++i) {

@@ -1,14 +1,15 @@
 // Structured trace sink: JSONL span/event records.
 //
 // One record per line, flat JSON objects only:
-//   {"type":"span","name":"spice.transient","ts":1.2e-3,"dur":4.5e-2,"depth":0,...}
-//   {"type":"event","name":"step.accept","ts":2.0e-3,"depth":1,"t":1e-9,"dt":5e-12,...}
+//   {"type":"span","name":"spice.transient","ts":1.2e-3,"dur":4.5e-2,"tid":1,"depth":0,...}
+//   {"type":"event","name":"step.accept","ts":2.0e-3,"tid":1,"depth":1,"t":1e-9,...}
 //
-// `ts` is monotonic wall seconds since the sink was opened; `depth` is the
-// span-nesting depth on the emitting thread (spans report the depth at which
-// they opened; events report the number of spans open around them). Spans are
-// written when they close, so a parent appears *after* its children in the
-// file — readers reconstruct nesting from (ts, dur, depth).
+// `ts` is monotonic wall seconds since the sink was opened; `tid` is a small
+// per-thread id (1, 2, ... in order of each thread's first record); `depth`
+// is the span-nesting depth on the emitting thread (spans report the depth at
+// which they opened; events report the number of spans open around them).
+// Spans are written when they close, so a parent appears *after* its children
+// in the file — readers reconstruct nesting per tid from (ts, dur, depth).
 #pragma once
 
 #include <atomic>

@@ -118,6 +118,7 @@ std::optional<TraceRecord> parseTraceLine(std::string_view line) {
                 const double value = c.parseNumber();
                 if (key == "ts") rec.ts = value;
                 else if (key == "dur") rec.dur = value;
+                else if (key == "tid") rec.tid = static_cast<int>(value);
                 else if (key == "depth") rec.depth = static_cast<int>(value);
                 else rec.num[key] = value;
             }
@@ -150,7 +151,8 @@ std::vector<SpanStat> spanStats(const std::vector<TraceRecord>& records) {
     // Spans are written when they close (children before parents), so order
     // them by start time to reconstruct nesting. Within one thread, spans at
     // equal depth are disjoint; a span's parent is the latest shallower span
-    // that started at or before it.
+    // on the same thread that started at or before it. Spans on other
+    // threads may overlap it at any depth, so nesting is rebuilt per tid.
     std::vector<const TraceRecord*> spans;
     for (const auto& r : records)
         if (r.isSpan()) spans.push_back(&r);
@@ -160,8 +162,9 @@ std::vector<SpanStat> spanStats(const std::vector<TraceRecord>& records) {
     });
 
     std::unordered_map<const TraceRecord*, double> childTime;
-    std::vector<const TraceRecord*> lastAtDepth;
+    std::unordered_map<int, std::vector<const TraceRecord*>> open;  // per tid
     for (const auto* s : spans) {
+        auto& lastAtDepth = open[s->tid];
         const auto depth = static_cast<std::size_t>(std::max(s->depth, 0));
         if (lastAtDepth.size() <= depth) lastAtDepth.resize(depth + 1, nullptr);
         lastAtDepth[depth] = s;

@@ -12,14 +12,15 @@
 namespace fetcam::obs {
 
 /// One parsed trace line. Booleans land in `num` as 0/1; the well-known
-/// header keys (type/name/ts/dur/depth) are lifted into struct fields and
-/// also left out of the maps.
+/// header keys (type/name/ts/dur/tid/depth) are lifted into struct fields
+/// and also left out of the maps.
 struct TraceRecord {
     std::string type;  ///< "span" or "event"
     std::string name;
     double ts = 0.0;   ///< seconds since trace start
     double dur = 0.0;  ///< span duration (0 for events)
-    int depth = 0;
+    int tid = 0;       ///< emitting thread (0 in traces written without one)
+    int depth = 0;     ///< span nesting on that thread
     std::map<std::string, double> num;
     std::map<std::string, std::string> str;
 
@@ -46,7 +47,7 @@ struct SpanStat {
 };
 
 /// Aggregate spans by name, computing self time from (ts, dur, depth)
-/// nesting. Sorted by self time, descending.
+/// nesting on each tid. Sorted by self time, descending.
 std::vector<SpanStat> spanStats(const std::vector<TraceRecord>& records);
 
 }  // namespace fetcam::obs

@@ -1,6 +1,7 @@
 #include "serve/query_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <stdexcept>
 
@@ -259,42 +260,27 @@ std::optional<tcam::TernaryWord> QueryEngine::entryAt(std::int64_t row) const {
     return chunkOf(*table, row).at(row % kChunkRows);
 }
 
-BatchResult QueryEngine::searchBatch(const std::vector<tcam::TernaryWord>& keys, int jobs) {
-    return searchBatchMasked(keys, nullptr, jobs);
-}
-
-BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>& keys,
-                                           const std::vector<char>* expired, int jobs) {
-    // Validate every key up front so a bad key fails before any accounting.
-    for (const auto& key : keys)
-        if (static_cast<int>(key.size()) != options_.shard.wordBits)
-            throw recover::SimError(recover::SimErrorReason::InvalidSpec,
-                                    "QueryEngine::searchBatch", "key width mismatch");
-
+template <class Step>
+void QueryEngine::walk(const std::vector<tcam::TernaryWord>& keys, int jobs,
+                       const Step& step) const {
     // One root pin per batch: every tile and every chunk scan below sees
     // the same table version, however many mutations land meanwhile — the
     // result is always valid at a single point in the mutation order.
     const TableSnapshot table = loadTable();
     const Table& chunks = *table;
 
-    const bool obsOn = obs::enabled();
-    const double t0 = obsOn ? obs::monotonicSeconds() : 0.0;
-
-    BatchResult out;
-    out.rows.assign(keys.size(), -1);
-
     const auto n = static_cast<std::int64_t>(keys.size());
     const std::int64_t tileSize = options_.batchSize;
     const auto tiles = static_cast<int>((n + tileSize - 1) / tileSize);
 
-    // Fan the tiles out across the team. Each worker owns its tile's result
-    // slots outright, and the chunk scans inside a tile run in a fixed
-    // order, so the result never depends on the schedule.
+    // Fan the tiles out across the team. A step writes only its own key's
+    // slots, and each tile visits the chunks in ascending row order, so the
+    // result never depends on the schedule.
     numeric::parallelFor(jobs, tiles, [&](int tile) {
         const std::int64_t lo = static_cast<std::int64_t>(tile) * tileSize;
         const std::int64_t hi = std::min(lo + tileSize, n);
-        // Each key is decomposed once per tile (widths were validated above)
-        // and the prepared form is reused across every chunk scan.
+        // Each key is decomposed once per tile (the caller checked widths)
+        // and the prepared form is reused across every chunk.
         std::vector<tcam::KeySlices> prepared;
         prepared.reserve(static_cast<std::size_t>(hi - lo));
         for (std::int64_t i = lo; i < hi; ++i)
@@ -302,25 +288,55 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
         for (std::size_t c = 0; c < chunks.size(); ++c) {
             // Chunk c holds global rows [c * kChunkRows, ...) locally.
             const auto begin = static_cast<std::int64_t>(c) * kChunkRows;
-            const tcam::TernaryPlanes& chunk = *chunks[c];
-            for (std::int64_t i = lo; i < hi; ++i) {
-                // Deadline-shed queries never reach the scan: mark and skip.
-                if (expired && (*expired)[static_cast<std::size_t>(i)]) {
-                    out.rows[static_cast<std::size_t>(i)] = kRowDeadlineExpired;
-                    continue;
-                }
-                auto& best = out.rows[static_cast<std::size_t>(i)];
-                // Chunks cover ascending row ranges, so the first chunk to
-                // report a match holds the global winner (the priority
-                // encoder): later chunks cannot beat it and are skipped.
-                if (best >= 0) continue;
-                const std::int64_t local = chunk.findFirst(
-                    0, chunk.rows(), prepared[static_cast<std::size_t>(i - lo)]);
-                if (local >= 0) best = begin + local;
-            }
+            for (std::int64_t i = lo; i < hi; ++i)
+                step(static_cast<std::size_t>(i), prepared[static_cast<std::size_t>(i - lo)],
+                     *chunks[c], begin);
         }
     });
+}
 
+BatchResult QueryEngine::searchBatch(const std::vector<tcam::TernaryWord>& keys, int jobs,
+                                     const SubmitOptions& opts) {
+    if (opts.deadlines && opts.deadlines->size() != keys.size())
+        throw recover::SimError(recover::SimErrorReason::InvalidSpec,
+                                "QueryEngine::searchBatch", "deadlines must align with keys");
+    // Validate every key up front so a bad key fails before any accounting.
+    for (const auto& key : keys)
+        if (static_cast<int>(key.size()) != options_.shard.wordBits)
+            throw recover::SimError(recover::SimErrorReason::InvalidSpec,
+                                    "QueryEngine::searchBatch", "key width mismatch");
+
+    const bool obsOn = obs::enabled();
+    const double now = obsOn || opts.deadlines ? obs::monotonicSeconds() : 0.0;
+    // How long the front-end's oldest query queued before the engine picked
+    // the batch up — the satellite metric CI diffs under load.
+    if (obsOn && opts.enqueuedAt > 0.0) {
+        static obs::Histogram& queueWait = obs::histogram("serve.admission.queue_wait");
+        queueWait.observe(std::max(0.0, now - opts.enqueuedAt));
+    }
+
+    BatchResult out;
+    out.rows.assign(keys.size(), -1);
+    // Deadlines are evaluated once, here: a query already past its deadline
+    // is marked shed, and the walk below never scans it.
+    if (opts.deadlines)
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const double d = (*opts.deadlines)[i];
+            if (d > 0.0 && now >= d) out.rows[i] = kRowDeadlineExpired;
+        }
+
+    walk(keys, jobs, [&](std::size_t i, const tcam::KeySlices& key,
+                         const tcam::TernaryPlanes& chunk, std::int64_t begin) {
+        // Chunks come in ascending row order, so the first chunk to report a
+        // match holds the global winner (the priority encoder): a key that
+        // has a row, or was shed, is skipped by every later chunk.
+        auto& best = out.rows[i];
+        if (best != -1) return;
+        const std::int64_t local = chunk.findFirst(0, chunk.rows(), key);
+        if (local >= 0) best = begin + local;
+    });
+
+    const auto n = static_cast<std::int64_t>(keys.size());
     for (const auto r : out.rows) {
         out.hits += r >= 0;
         out.expired += r == kRowDeadlineExpired;
@@ -351,7 +367,7 @@ BatchResult QueryEngine::searchBatchMasked(const std::vector<tcam::TernaryWord>&
                 obs::counter("serve.admission.deadline_expired");
             deadlineExpired.add(static_cast<long long>(out.expired));
         }
-        const double dt = obs::monotonicSeconds() - t0;
+        const double dt = obs::monotonicSeconds() - now;
         batchSeconds.observe(dt);
         if (dt > 0.0) obs::gauge("serve.qps").set(static_cast<double>(n) / dt);
     }
@@ -371,69 +387,46 @@ SimilarityBatchResult QueryEngine::similarityBatch(
     // the fan-out keeps the parallel region free of cache traffic.
     const sim::MlcCharacterization cost = simCost();
 
-    // One root pin per batch — every tile and chunk scan sees the same
-    // table version (see searchBatchMasked).
-    const TableSnapshot table = loadTable();
-    const Table& chunks = *table;
-
     const bool obsOn = obs::enabled();
     const double t0 = obsOn ? obs::monotonicSeconds() : 0.0;
 
-    SimilarityBatchResult out;
-    out.hits.resize(keys.size());
-
-    const auto n = static_cast<std::int64_t>(keys.size());
-    const std::int64_t tileSize = options_.batchSize;
-    const auto tiles = static_cast<int>((n + tileSize - 1) / tileSize);
-
-    // Tiles fan out across the team; each worker owns its tile's hit slots.
     // Unlike the priority search there is no early-out: a nearer row can
-    // live in any chunk, so every chunk contributes its counts. Chunks (the
-    // kChunkRows storage unit, not the priced shards) are scanned in
-    // ascending order and the selector's (distance, row) order is total, so
-    // the merged result is schedule-independent.
-    numeric::parallelFor(jobs, tiles, [&](int tile) {
-        const std::int64_t lo = static_cast<std::int64_t>(tile) * tileSize;
-        const std::int64_t hi = std::min(lo + tileSize, n);
-        std::vector<tcam::KeySlices> prepared;
-        prepared.reserve(static_cast<std::size_t>(hi - lo));
-        std::vector<sim::TopSelector> selectors;
-        selectors.reserve(static_cast<std::size_t>(hi - lo));
-        for (std::int64_t i = lo; i < hi; ++i) {
-            prepared.push_back(tcam::TernaryPlanes::prepare(keys[static_cast<std::size_t>(i)]));
-            selectors.emplace_back(options);
+    // live in any chunk, so every chunk offers its occupied rows. The
+    // selector's (distance, row) order is total, so the result does not
+    // depend on the order rows arrive in.
+    std::vector<sim::TopSelector> selectors;
+    selectors.reserve(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) selectors.emplace_back(options);
+    walk(keys, jobs, [&](std::size_t i, const tcam::KeySlices& key,
+                         const tcam::TernaryPlanes& chunk, std::int64_t begin) {
+        std::array<std::size_t, kChunkRows> counts;
+        chunk.mismatchCounts(key, counts.data());
+        auto& selector = selectors[i];
+        for (std::int64_t r = 0; r < chunk.rows(); ++r) {
+            const std::size_t d = counts[static_cast<std::size_t>(r)];
+            if (d == tcam::kNoEntry) continue;  // empty row
+            selector.consider(begin + r, d);
         }
-        std::vector<std::size_t> counts(static_cast<std::size_t>(kChunkRows));
-        for (std::size_t c = 0; c < chunks.size(); ++c) {
-            const auto begin = static_cast<std::int64_t>(c) * kChunkRows;
-            const tcam::TernaryPlanes& chunk = *chunks[c];
-            for (std::int64_t i = lo; i < hi; ++i) {
-                chunk.mismatchCounts(prepared[static_cast<std::size_t>(i - lo)],
-                                     counts.data());
-                auto& sel = selectors[static_cast<std::size_t>(i - lo)];
-                for (std::int64_t r = 0; r < chunk.rows(); ++r) {
-                    const std::size_t d = counts[static_cast<std::size_t>(r)];
-                    if (d == tcam::kNoEntry) continue;  // empty row
-                    sel.consider(begin + r, d);
-                }
-            }
-        }
-        for (std::int64_t i = lo; i < hi; ++i)
-            out.hits[static_cast<std::size_t>(i)] =
-                selectors[static_cast<std::size_t>(i - lo)].take();
     });
 
-    for (const auto& hits : out.hits)
-        out.rowsReturned += static_cast<std::int64_t>(hits.size());
+    SimilarityBatchResult out;
+    out.hits.reserve(keys.size());
+    for (auto& selector : selectors) {
+        out.hits.push_back(selector.take());
+        out.rowsReturned += static_cast<std::int64_t>(out.hits.back().size());
+    }
+    const auto n = static_cast<std::int64_t>(keys.size());
     out.energy = cost.energyPerSearchJ * static_cast<double>(n);
     out.latency = cost.searchDelay;
 
+    double accumulated = 0.0;
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
         stats_.simQueries += n;
         stats_.simBatches += 1;
         stats_.simRows += out.rowsReturned;
         stats_.simEnergy += out.energy;
+        accumulated = stats_.simEnergy;
     }
     if (obsOn) {
         static obs::Counter& queries = obs::counter("serve.sim.queries");
@@ -443,11 +436,6 @@ SimilarityBatchResult QueryEngine::similarityBatch(
         queries.add(static_cast<long long>(n));
         batches.add();
         rows.add(static_cast<long long>(out.rowsReturned));
-        double accumulated = 0.0;
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            accumulated = stats_.simEnergy;
-        }
         obs::gauge("serve.sim.energy").set(accumulated);
         batchSeconds.observe(obs::monotonicSeconds() - t0);
     }
@@ -469,41 +457,6 @@ sim::SimilarityHits QueryEngine::thresholdMatch(const tcam::TernaryWord& key,
     options.kind = sim::SimilarityKind::Threshold;
     options.maxDistance = maxDistance;
     return similarityBatch({key}, options).hits[0];
-}
-
-SubmitResult QueryEngine::submitBatch(const std::vector<tcam::TernaryWord>& keys, int jobs) {
-    return submitBatch(keys, SubmitOptions{}, jobs);
-}
-
-SubmitResult QueryEngine::submitBatch(const std::vector<tcam::TernaryWord>& keys,
-                                      const SubmitOptions& opts, int jobs) {
-    if (opts.deadlines && opts.deadlines->size() != keys.size())
-        throw recover::SimError(recover::SimErrorReason::InvalidSpec,
-                                "QueryEngine::submitBatch",
-                                "deadlines must align with keys");
-    // Record how long the front-end's oldest query queued before the engine
-    // picked the batch up — the satellite metric CI diffs under load — and
-    // evaluate deadlines exactly once, here: a query whose deadline has
-    // already passed is shed before any entry is scanned.
-    const double now = obs::monotonicSeconds();
-    if (obs::enabled() && opts.enqueuedAt > 0.0) {
-        static obs::Histogram& queueWait = obs::histogram("serve.admission.queue_wait");
-        queueWait.observe(std::max(0.0, now - opts.enqueuedAt));
-    }
-    std::vector<char> expired;
-    bool anyExpired = false;
-    if (opts.deadlines) {
-        expired.resize(keys.size(), 0);
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            const double d = (*opts.deadlines)[i];
-            if (d > 0.0 && now >= d) {
-                expired[i] = 1;
-                anyExpired = true;
-            }
-        }
-    }
-
-    return {searchBatchMasked(keys, anyExpired ? &expired : nullptr, jobs)};
 }
 
 store::StoreStatus QueryEngine::tableLogStatus() const {

@@ -67,9 +67,14 @@
 // records do not fit this engine's geometry, degrades to memory-only
 // entries with a typed error in tableLogStatus() — never a wrong table.
 //
-// Deadlines: submitBatch() takes a front-end's per-query deadlines and
-// sheds the queries already past theirs before any entry is scanned;
-// overload is bounded by the front-end (net::Server's maxPendingQueries).
+// One scan: searchBatch and similarityBatch share a single tiled walk over
+// the pinned chunks and differ only in the per-(key, chunk) step — the
+// priority early-out or the mismatch-count top-k selection.
+//
+// Deadlines: searchBatch() takes a front-end's per-query deadlines
+// (SubmitOptions) and marks the queries already past theirs shed before the
+// walk, so no entry is scanned for them; overload is bounded by the
+// front-end (net::Server's maxPendingQueries).
 //
 // obs integration (when obs::enabled()): serve.queries / serve.hits /
 // serve.batches counters, the serve.admission.queue_wait histogram and
@@ -182,6 +187,7 @@ enum class BatchAdmission {
     Shed,      ///< refused by the front-end's overload bound or drain
 };
 
+/// The end-to-end benchmark's view of searchBatch (see submitBatch).
 struct SubmitResult {
     BatchResult result;
 };
@@ -236,19 +242,18 @@ public:
     /// Batched priority search across `jobs` workers (0 = process default).
     /// Results and accounting are bit-identical for any jobs value and for
     /// cold vs. warm caches. Concurrent mutations are safe: the whole batch
-    /// sees one consistent table version.
-    BatchResult searchBatch(const std::vector<tcam::TernaryWord>& keys, int jobs = 0);
+    /// sees one consistent table version. `opts` carries a front-end's
+    /// deadline / queue-wait context: queries whose deadline expired before
+    /// the scan are shed unscanned (see SubmitOptions), counted in
+    /// stats().deadlineExpired and the serve.admission.deadline_expired
+    /// counter. `opts.deadlines`, when set, must be keys.size() long.
+    BatchResult searchBatch(const std::vector<tcam::TernaryWord>& keys, int jobs = 0,
+                            const SubmitOptions& opts = {});
 
     /// searchBatch, as the end-to-end benchmark calls it.
-    SubmitResult submitBatch(const std::vector<tcam::TernaryWord>& keys, int jobs = 0);
-
-    /// searchBatch with a front-end's deadline / queue-wait context: queries
-    /// whose deadline expired before the scan are shed unscanned (see
-    /// SubmitOptions), counted in stats().deadlineExpired and the
-    /// serve.admission.deadline_expired counter. `opts.deadlines`, when set,
-    /// must be keys.size() long.
-    SubmitResult submitBatch(const std::vector<tcam::TernaryWord>& keys,
-                             const SubmitOptions& opts, int jobs = 0);
+    SubmitResult submitBatch(const std::vector<tcam::TernaryWord>& keys, int jobs = 0) {
+        return {searchBatch(keys, jobs)};
+    }
 
     // --- similarity serving (the second product surface) ---
     /// Batched similarity search: every key gets its best-first hit list
@@ -361,10 +366,14 @@ private:
     }
     /// Swap in a new root; the retired one is released outside tableMutex_.
     void publishTable(std::shared_ptr<const Table> next);
-    /// searchBatch with an optional per-query skip mask (expired deadlines):
-    /// masked queries get kRowDeadlineExpired without being scanned.
-    BatchResult searchBatchMasked(const std::vector<tcam::TernaryWord>& keys,
-                                  const std::vector<char>* expired, int jobs);
+    /// The one tiled scan behind searchBatch and similarityBatch: pins the
+    /// root once, fans tiles of options_.batchSize keys out across `jobs`
+    /// workers, prepares each key once per tile and visits the chunks in
+    /// ascending row order, calling step(i, prepared keys[i], chunk, first
+    /// global row of chunk) for every (key, chunk) pair. The caller has
+    /// checked the key widths. Defined in query_engine.cpp, its only user.
+    template <class Step>
+    void walk(const std::vector<tcam::TernaryWord>& keys, int jobs, const Step& step) const;
     /// Apply one row mutation: in place when no reader is pinned, else
     /// clone the affected chunk and publish a new root. Caller holds
     /// mutMutex_. `word` null = clear the row.

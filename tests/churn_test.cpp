@@ -202,11 +202,11 @@ TEST(ChurnEngine, MutationsAreChargedThePlannedWordWriteCost) {
 
 // ---------------------------------------------------------------------------
 // Model-based oracle test: seeded random sequences of every table operation —
-// insert, insertAt, erase, searchBatch, nearestK, thresholdMatch, and
-// compactTable followed by a warm restart from the delta log — on a table
-// that crosses two chunk edges into a partial chunk, at widths straddling the
-// 64-bit plane words and at jobs 1, 2 and 4, each step checked against the
-// optional-word reference. A failure prints the seed and every operation up
+// insert, insertAt, erase, searchBatch (with expired, live and no deadlines),
+// nearestK, thresholdMatch, and compactTable followed by a warm restart from
+// the delta log — on a table that crosses two chunk edges into a partial
+// chunk, at widths straddling the 64-bit plane words and at jobs 1, 2 and 4,
+// each step checked against the optional-word reference. A failure prints the seed and every operation up
 // to the failing one.
 // ---------------------------------------------------------------------------
 
@@ -359,17 +359,45 @@ private:
         ASSERT_EQ(engine_->occupancy(), occupied()) << history();
     }
 
+    /// A priority batch in which a seeded subset of the keys is already past
+    /// its deadline (E), some carry a live one (L) and the rest none (-):
+    /// the expired keys come back kRowDeadlineExpired, unscanned and
+    /// uncharged, the others get the reference answer.
     void searchBatch(int jobs) {
         const auto batch = keys();
-        log_.push_back("searchBatch jobs=" + std::to_string(jobs) + listOf(batch));
-        const auto result = engine_->searchBatch(batch, jobs);
-        std::int64_t hits = 0;
+        const double live = obs::monotonicSeconds() + 3600.0;
+        std::vector<double> deadlines(batch.size(), 0.0);  // 0 = no deadline
+        std::vector<bool> expired(batch.size(), false);
+        std::string marks;
         for (std::size_t q = 0; q < batch.size(); ++q) {
-            const std::int64_t want = tcam::referenceFindFirst(naive_.rows, batch[q]);
+            const double u = rng_.uniform();
+            expired[q] = u < 0.3;
+            if (expired[q])
+                deadlines[q] = 1e-9;  // long past (0 would mean none)
+            else if (u < 0.6)
+                deadlines[q] = live;
+            marks += expired[q] ? 'E' : (deadlines[q] > 0.0 ? 'L' : '-');
+        }
+        log_.push_back("searchBatch jobs=" + std::to_string(jobs) + " deadlines " + marks +
+                       listOf(batch));
+        serve::SubmitOptions opts;
+        opts.deadlines = &deadlines;
+        const auto result = engine_->searchBatch(batch, jobs, opts);
+        std::int64_t hits = 0;
+        std::int64_t shed = 0;
+        for (std::size_t q = 0; q < batch.size(); ++q) {
+            const std::int64_t want = expired[q] ? serve::kRowDeadlineExpired
+                                                 : tcam::referenceFindFirst(naive_.rows, batch[q]);
             ASSERT_EQ(result.rows[q], want) << "key " << q << "\n" << history();
             hits += want >= 0;
+            shed += expired[q];
         }
         ASSERT_EQ(result.hits, hits) << history();
+        ASSERT_EQ(result.expired, shed) << history();
+        ASSERT_EQ(result.energy,
+                  engine_->energyPerQuery() *
+                      static_cast<double>(static_cast<std::int64_t>(batch.size()) - shed))
+            << history();
     }
 
     /// A similarity batch at `jobs`, then the single-key convenience on its

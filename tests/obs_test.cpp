@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "obs/trace_reader.hpp"
@@ -179,6 +180,28 @@ TEST(Trace, JsonlRoundTripWithNesting) {
         if (s.name == "inner") innerTotal = s.total;
     }
     EXPECT_NEAR(outerSelf, outerTotal - innerTotal, 1e-12);
+}
+
+TEST(Trace, SpanStatsNestsSpansPerThread) {
+    // Two same-depth spans overlap on different threads, each with a child.
+    // Ordered by start time, a.child opens after b.sim; it still belongs to
+    // a.sim, the span on its own tid.
+    std::vector<obs::TraceRecord> records;
+    for (const char* line : {
+             R"({"type":"span","name":"a.child","ts":0.002,"dur":0.006,"tid":1,"depth":2})",
+             R"({"type":"span","name":"b.child","ts":0.003,"dur":0.001,"tid":2,"depth":2})",
+             R"({"type":"span","name":"a.sim","ts":0.000,"dur":0.010,"tid":1,"depth":1})",
+             R"({"type":"span","name":"b.sim","ts":0.001,"dur":0.010,"tid":2,"depth":1})",
+         })
+        records.push_back(*obs::parseTraceLine(line));
+
+    double aSelf = -1.0, bSelf = -1.0;
+    for (const auto& s : obs::spanStats(records)) {
+        if (s.name == "a.sim") aSelf = s.self;
+        if (s.name == "b.sim") bSelf = s.self;
+    }
+    EXPECT_NEAR(aSelf, 0.010 - 0.006, 1e-12);
+    EXPECT_NEAR(bSelf, 0.010 - 0.001, 1e-12);
 }
 
 TEST(Trace, ParserRejectsMalformedLines) {

@@ -510,16 +510,16 @@ TEST(QueryEngineDeadline, ExpiredQueriesShedBeforeSimulation) {
     const std::vector<double> deadlines = {now - 1.0, now + 100.0, 0.0};
     serve::SubmitOptions opts;
     opts.deadlines = &deadlines;
-    const auto out = engine.submitBatch(keys, opts);
+    const auto out = engine.searchBatch(keys, 0, opts);
 
-    EXPECT_EQ(out.result.rows[0], serve::kRowDeadlineExpired);
-    EXPECT_EQ(out.result.rows[1], 0);
-    EXPECT_EQ(out.result.rows[2], -1);
-    EXPECT_EQ(out.result.expired, 1);
-    EXPECT_EQ(out.result.hits, 1);
+    EXPECT_EQ(out.rows[0], serve::kRowDeadlineExpired);
+    EXPECT_EQ(out.rows[1], 0);
+    EXPECT_EQ(out.rows[2], -1);
+    EXPECT_EQ(out.expired, 1);
+    EXPECT_EQ(out.hits, 1);
     // Shed-before-scan means shed-before-energy: only the two executed
     // queries are charged.
-    EXPECT_EQ(out.result.energy, engine.energyPerQuery() * 2);
+    EXPECT_EQ(out.energy, engine.energyPerQuery() * 2);
 
     EXPECT_EQ(engine.stats().deadlineExpired, 1);
     EXPECT_EQ(engine.stats().queries, 3);
@@ -533,11 +533,11 @@ TEST(QueryEngineDeadline, AllExpiredChargesNoEnergy) {
     const std::vector<double> deadlines(4, 1e-9);  // long past
     serve::SubmitOptions opts;
     opts.deadlines = &deadlines;
-    const auto out = engine.submitBatch(keys, opts);
-    EXPECT_EQ(out.result.expired, 4);
-    EXPECT_EQ(out.result.hits, 0);
-    EXPECT_EQ(out.result.energy, 0.0);
-    for (const auto row : out.result.rows) EXPECT_EQ(row, serve::kRowDeadlineExpired);
+    const auto out = engine.searchBatch(keys, 0, opts);
+    EXPECT_EQ(out.expired, 4);
+    EXPECT_EQ(out.hits, 0);
+    EXPECT_EQ(out.energy, 0.0);
+    for (const auto row : out.rows) EXPECT_EQ(row, serve::kRowDeadlineExpired);
 }
 
 TEST(QueryEngineDeadline, MisalignedDeadlinesRejected) {
@@ -546,7 +546,7 @@ TEST(QueryEngineDeadline, MisalignedDeadlinesRejected) {
     const std::vector<double> deadlines(2, 0.0);
     serve::SubmitOptions opts;
     opts.deadlines = &deadlines;
-    EXPECT_THROW(engine.submitBatch(keys, opts), recover::SimError);
+    EXPECT_THROW(engine.searchBatch(keys, 0, opts), recover::SimError);
 }
 
 TEST(QueryEngineDeadline, NoDeadlinesMatchesPlainSearch) {
@@ -560,9 +560,12 @@ TEST(QueryEngineDeadline, NoDeadlinesMatchesPlainSearch) {
     std::vector<tcam::TernaryWord> keys;
     for (int i = 0; i < 8; ++i) keys.push_back(tcam::TernaryWord::fromBits(i, 8));
     const auto plain = a.searchBatch(keys);
-    const auto submitted = b.submitBatch(keys, serve::SubmitOptions{});
-    EXPECT_EQ(submitted.result.rows, plain.rows);
-    EXPECT_EQ(submitted.result.hits, plain.hits);
-    EXPECT_EQ(submitted.result.energy, plain.energy);
-    EXPECT_EQ(submitted.result.expired, 0);
+    const std::vector<double> none(keys.size(), 0.0);  // 0 = no deadline
+    serve::SubmitOptions opts;
+    opts.deadlines = &none;
+    const auto submitted = b.searchBatch(keys, 0, opts);
+    EXPECT_EQ(submitted.rows, plain.rows);
+    EXPECT_EQ(submitted.hits, plain.hits);
+    EXPECT_EQ(submitted.energy, plain.energy);
+    EXPECT_EQ(submitted.expired, 0);
 }
