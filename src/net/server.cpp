@@ -12,7 +12,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -43,41 +42,15 @@ void stopSignalHandler(int) {
     if (gSignalTarget) gSignalTarget->requestStop();
 }
 
-/// Holds the calling thread's timer slack at 1 ns, so a ppoll(2) timeout
-/// ends on time instead of up to the default 50 µs late, and restores the
-/// caller's slack when the scope ends.
-class TightTimerSlack {
-public:
-    TightTimerSlack() : saved_(::prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL)) {
-        if (saved_ > 0) ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
-    }
-    ~TightTimerSlack() {
-        if (saved_ > 0)
-            ::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(saved_), 0UL, 0UL, 0UL);
-    }
-    TightTimerSlack(const TightTimerSlack&) = delete;
-    TightTimerSlack& operator=(const TightTimerSlack&) = delete;
-
-private:
-    int saved_;
-};
-
 }  // namespace
 
 double nextWake(double now, const LoopDeadlines& deadlines, const ServerOptions& options) {
     double next = now + 0.1;  // idle heartbeat
-    if (deadlines.oldestArrival)
-        next = std::min(next, *deadlines.oldestArrival + options.coalesceWindow);
     if (deadlines.oldestMidFrame)
         next = std::min(next, *deadlines.oldestMidFrame + options.readTimeout);
     if (deadlines.drainStart)
         next = std::min(next, *deadlines.drainStart + options.drainTimeout);
     return next;
-}
-
-double flushBy(double now, std::optional<double> previousArrival, const ServerOptions& options) {
-    if (previousArrival && *previousArrival + options.coalesceWindow <= now) return now;
-    return now + options.coalesceWindow;
 }
 
 timespec waitTimeout(double now, double deadline) {
@@ -108,10 +81,9 @@ Server::Server(serve::QueryEngine& engine, ServerOptions options)
                        "maxPendingQueries must be >= 1");
     if (options_.maxFrameBytes < kFrameHeaderSize)
         throw SimError(SimErrorReason::InvalidSpec, "net::Server", "maxFrameBytes too small");
-    if (options_.coalesceWindow < 0.0 || options_.readTimeout <= 0.0 ||
-        options_.drainTimeout <= 0.0)
+    if (options_.readTimeout <= 0.0 || options_.drainTimeout <= 0.0)
         throw SimError(SimErrorReason::InvalidSpec, "net::Server",
-                       "coalesceWindow/readTimeout/drainTimeout out of range");
+                       "readTimeout/drainTimeout out of range");
 }
 
 Server::~Server() {
@@ -409,7 +381,7 @@ void Server::handleSimilarity(int fd, const Frame& frame) {
     }
     try {
         // Executed immediately (like Mutate): similarity scans run on the
-        // engine's snapshot table, so coalescing buys nothing and ordering
+        // engine's snapshot table, so batching them buys nothing and ordering
         // against queued QueryBatch work is irrelevant to determinism.
         auto result = engine_.similarityBatch(sim->keys, sim->toOptions(), options_.jobs);
         reply.admission = static_cast<std::uint8_t>(serve::BatchAdmission::Accepted);
@@ -462,10 +434,6 @@ void Server::handleQueryBatch(int fd, const Frame& frame, double now) {
         static obs::Counter& queries = obs::counter("net.queries");
         queries.add(static_cast<long long>(batch->keys.size()));
     }
-    // Shed and drained requests count as arrivals too: they are traffic.
-    const double flushAt = flushBy(now, lastQueryArrival_, options_);
-    lastQueryArrival_ = now;
-
     // Drain refuses new work with typed sheds (the peer got a Drain frame).
     if (draining_) {
         sendShedReply(fd, batch->requestId, batch->keys.size());
@@ -483,7 +451,6 @@ void Server::handleQueryBatch(int fd, const Frame& frame, double now) {
     req.fd = fd;
     req.requestId = batch->requestId;
     req.arrival = now;
-    req.flushBy = flushAt;
     if (batch->deadlineMicros > 0)
         req.deadline = now + static_cast<double>(batch->deadlineMicros) * 1e-6;
     else if (options_.defaultDeadline > 0.0)
@@ -493,8 +460,7 @@ void Server::handleQueryBatch(int fd, const Frame& frame, double now) {
     pending_.push_back(std::move(req));
 }
 
-void Server::executeBatch(FlushReason reason) {
-    if (pending_.empty()) return;
+void Server::executeBatch() {
     // Take whole requests off the front until the engine batch is full — a
     // request is never split, so each gets exactly one reply.
     std::vector<Request> taken;
@@ -525,11 +491,7 @@ void Server::executeBatch(FlushReason reason) {
     ++stats_.batches;
     if (obs::enabled()) {
         static obs::Counter& batches = obs::counter("net.batches");
-        static obs::Counter* flushes[] = {
-            &obs::counter("net.flush.full"), &obs::counter("net.flush.window"),
-            &obs::counter("net.flush.arrival"), &obs::counter("net.flush.drain")};
         batches.add();
-        flushes[static_cast<int>(reason)]->add();
     }
 
     const double done = obs::monotonicSeconds();
@@ -605,7 +567,6 @@ void Server::checkReadTimeouts(double now) {
 
 LoopDeadlines Server::loopDeadlines() const {
     LoopDeadlines deadlines;
-    if (!pending_.empty()) deadlines.oldestArrival = pending_.front().arrival;
     for (const auto& [fd, conn] : conns_)
         if (!conn.readBuf.empty())
             deadlines.oldestMidFrame =
@@ -615,7 +576,6 @@ LoopDeadlines Server::loopDeadlines() const {
 }
 
 bool Server::drainComplete() const {
-    if (!pending_.empty()) return false;
     for (const auto& [fd, conn] : conns_)
         if (!conn.writeBuf.empty()) return false;
     return true;
@@ -624,7 +584,6 @@ bool Server::drainComplete() const {
 void Server::run() {
     if (listenFd_ < 0)
         throw SimError(SimErrorReason::InvalidSpec, "net::Server", "run() before start()");
-    const TightTimerSlack slack;
     std::vector<pollfd> fds;
     while (true) {
         fds.clear();
@@ -638,20 +597,14 @@ void Server::run() {
         }
 
         const double before = obs::monotonicSeconds();
-        const double wake = nextWake(before, loopDeadlines(), options_);
-        const int rc = pollUntil(fds.data(), fds.size(), before, wake);
+        const int rc =
+            pollUntil(fds.data(), fds.size(), before, nextWake(before, loopDeadlines(), options_));
         if (rc < 0) {
             if (errno == EINTR) continue;
             throw SimError(SimErrorReason::IoError, "net::Server",
                            "ppoll failed: " + std::string(std::strerror(errno)));
         }
         const double now = obs::monotonicSeconds();
-        if (obs::enabled() && wake > before && now >= wake) {
-            // How late the loop woke past the deadline it slept toward.
-            static obs::Histogram& oversleep = obs::histogram(
-                "net.loop.oversleep.seconds", obs::Histogram::exponentialBounds(1e-9, 1.0, 10));
-            oversleep.observe(now - wake);
-        }
 
         for (const auto& p : fds) {
             if (p.revents == 0) continue;
@@ -682,23 +635,11 @@ void Server::run() {
 
         checkReadTimeouts(now);
 
-        // Flush coalesced batches: full batches immediately; a partial batch
-        // once its oldest request's flushBy has come (its arrival, or the
-        // end of its coalesce window). flushBy never decreases along the
-        // queue, so checking the front is enough. Draining flushes
-        // everything — in-flight work finishes, it is never dropped.
-        while (pendingQueries_ >= static_cast<std::int64_t>(options_.maxBatch))
-            executeBatch(FlushReason::Full);
-        while (!pending_.empty()) {
-            const Request& front = pending_.front();
-            if (front.flushBy <= now)
-                executeBatch(front.flushBy == front.arrival ? FlushReason::Arrival
-                                                            : FlushReason::Window);
-            else if (draining_)
-                executeBatch(FlushReason::Drain);
-            else
-                break;
-        }
+        // Run everything this pass read, whole requests up to maxBatch
+        // queries a batch: frames read together share a searchBatch, and no
+        // request waits for a later wake (group commit, the loop its only
+        // worker). A request read before a drain began still runs here.
+        while (!pending_.empty()) executeBatch();
 
         if (draining_) {
             if (drainComplete()) {

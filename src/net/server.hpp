@@ -5,12 +5,11 @@
 //
 //   * accepts connections and greets each with a Hello frame carrying the
 //     engine word width and the protocol limits,
-//   * reads CRC-framed QueryBatch requests and coalesces them — across
-//     connections — into engine batches, flushed when options.maxBatch
-//     queries are waiting or the oldest request has waited
-//     options.coalesceWindow seconds, whichever is first; a request that
-//     arrives a whole window or more after the previous one (on any
-//     connection) expects no batchmate and flushes on arrival (flushBy),
+//   * reads CRC-framed QueryBatch requests and, at the end of each loop
+//     pass, executes every request that pass read: whole requests, across
+//     connections, up to options.maxBatch queries per engine batch. Frames
+//     that arrive together share one searchBatch; a request that arrives
+//     alone runs at once. No request waits for batchmates on a timer,
 //   * propagates per-request deadlines into QueryEngine::searchBatch, so
 //     expired queries are shed before any entry is scanned and answered with
 //     a typed DeadlineExceeded status,
@@ -37,25 +36,17 @@
 //     in flight (executing what still meets its deadline), flush write
 //     buffers, then return from run() with deterministic final accounting.
 //
-// Timing: each loop iteration sleeps until one absolute deadline, the
-// earliest of the coalesce flush, the mid-frame read timeout, the drain
-// bound and a 0.1 s heartbeat (nextWake). The wait goes to ppoll(2) rounded
-// *up* to the nanosecond (waitTimeout), and run() holds the loop thread's
-// timer slack at 1 ns, so a partial batch flushes within microseconds of
-// its coalesce window instead of the whole milliseconds a poll(2) timeout
-// rounds to. A request that flushes on arrival leaves in the loop iteration
-// that read it, so whatever is pending when the loop sleeps waits exactly
-// arrival + coalesceWindow: sparse traffic pays no coalesce wait, dense
-// traffic (gaps below the window) batches as before.
+// Timing: each loop pass sleeps in ppoll(2) until a socket is ready or one
+// absolute deadline passes, the earliest of the mid-frame read timeout, the
+// drain bound and a 0.1 s heartbeat (nextWake). ppoll returns on every
+// readable socket, so the loop wakes once per arrival and the batch a pass
+// runs is whatever arrived since the pass before: sparse traffic runs one
+// request per batch, dense traffic batches as much as one wake reads.
 //
 // obs metrics (when obs::enabled()): net.connections.accepted/.dropped,
 // net.frames.in/.out, net.queries, net.hits, net.shed,
-// net.deadline_expired, net.proto_errors, net.batches counters, one
-// net.flush.{full,window,arrival,drain} counter per flushed batch (why it
-// flushed: maxBatch reached, window waited out, arrived alone, drain), a
-// net.request.seconds histogram (receipt -> reply queued) and a
-// net.loop.oversleep.seconds histogram (how late the loop woke past the
-// deadline it slept toward).
+// net.deadline_expired, net.proto_errors, net.batches counters and a
+// net.request.seconds histogram (receipt -> reply queued).
 #pragma once
 
 #include <array>
@@ -80,14 +71,14 @@ struct ServerOptions {
     int backlog = 64;
     int maxConnections = 256;
     std::uint32_t maxFrameBytes = kDefaultMaxFrameBytes;
-    /// Queries per coalesced engine batch (and per-request ceiling).
+    /// Queries per engine batch (and per-request ceiling).
     std::uint32_t maxBatch = 4096;
-    /// Longest a query waits for batchmates before the batch flushes [s].
-    /// A request arriving at least this long after the previous one does
-    /// not wait at all (see flushBy).
+    /// Not read by the server, which runs what each loop pass read and waits
+    /// on no timer; the field stays only because the frozen end-to-end
+    /// benchmark (e2ebench/bench_e2e.cpp:250) still sets it.
     double coalesceWindow = 0.5e-3;
-    /// Overload bound: pending (received, not yet executed) queries beyond
-    /// this are shed immediately with typed replies.
+    /// Overload bound: queries one loop pass may queue before it executes
+    /// them; requests beyond it are shed immediately with typed replies.
     std::int64_t maxPendingQueries = 1 << 16;
     /// A peer stalled mid-frame longer than this is dropped [s].
     double readTimeout = 5.0;
@@ -97,7 +88,7 @@ struct ServerOptions {
     double drainTimeout = 5.0;
     /// Worker count handed to the engine per batch (0 = process default).
     /// The engine splits a batch into tiles of EngineOptions::batchSize
-    /// (4096) queries and gives each worker whole tiles. A coalesced batch
+    /// (4096) queries and gives each worker whole tiles. An engine batch
     /// is at most maxBatch queries (4096 by default), so it is one tile and
     /// runs on the loop thread alone; jobs only splits larger batches.
     int jobs = 0;
@@ -105,23 +96,14 @@ struct ServerOptions {
 
 /// What the event loop waits on, as absolute obs::monotonicSeconds() times.
 struct LoopDeadlines {
-    std::optional<double> oldestArrival;   ///< front of the coalesce queue
     std::optional<double> oldestMidFrame;  ///< earliest last read of a peer mid-frame
     std::optional<double> drainStart;      ///< set while draining
 };
 
-/// Absolute time the event loop next wakes: the earliest of the coalesce
-/// flush (oldestArrival + coalesceWindow), the read timeout
-/// (oldestMidFrame + readTimeout), the drain bound (drainStart +
+/// Absolute time the event loop next wakes: the earliest of the read
+/// timeout (oldestMidFrame + readTimeout), the drain bound (drainStart +
 /// drainTimeout) and the idle heartbeat (now + 0.1 s).
 double nextWake(double now, const LoopDeadlines& deadlines, const ServerOptions& options);
-
-/// Absolute time a QueryBatch arriving at `now` must flush by: `now` itself
-/// when the previous QueryBatch (on any connection) arrived at least one
-/// coalesceWindow earlier — at that spacing no batchmate is coming —
-/// otherwise, and for the first request the server sees, now +
-/// coalesceWindow.
-double flushBy(double now, std::optional<double> previousArrival, const ServerOptions& options);
 
 /// The wait from `now` until `deadline` as a ppoll(2) timeout: rounded up
 /// to the nanosecond, so a wait never ends before its deadline; zero once
@@ -158,7 +140,7 @@ struct ServerStats {
     /// Per-ProtoError occurrence counts, indexed by the enum value.
     std::array<std::int64_t, kNumProtoErrors> errorCounts{};
     bool drained = false;       ///< run() exited through graceful drain
-    bool drainForced = false;   ///< drainTimeout expired with work unflushed
+    bool drainForced = false;   ///< drainTimeout expired with replies unwritten
 };
 
 class Server {
@@ -179,9 +161,7 @@ public:
 
     /// Event loop; returns after requestStop() completes the graceful drain.
     /// Throws SimError(IoError) only for unrecoverable listener/poll
-    /// failures — per-connection trouble is handled and counted. Holds the
-    /// calling thread's timer slack at 1 ns while it runs and restores the
-    /// caller's value on return.
+    /// failures — per-connection trouble is handled and counted.
     void run();
 
     /// Begin graceful drain. Async-signal-safe (one write(2) to a pipe);
@@ -211,7 +191,6 @@ private:
         int fd = -1;
         std::uint64_t requestId = 0;
         double arrival = 0.0;
-        double flushBy = 0.0;   ///< arrival or arrival + coalesceWindow (net::flushBy)
         double deadline = 0.0;  ///< absolute monotonic; 0 = none
         std::vector<tcam::TernaryWord> keys;
     };
@@ -230,11 +209,9 @@ private:
     void sendShedReply(int fd, std::uint64_t requestId, std::size_t count);
     void protoFail(int fd, ProtoError code, const std::string& message);
     void dropConn(int fd, bool countDropped);
-    /// Why run() flushed a batch: maxBatch queries waiting, the front
-    /// request's flushBy reached after a coalesce window, reached on arrival,
-    /// or drain. Counted as net.flush.{full,window,arrival,drain}.
-    enum class FlushReason { Full, Window, Arrival, Drain };
-    void executeBatch(FlushReason reason);
+    /// Runs whole requests off the front of pending_, up to maxBatch
+    /// queries, as one engine batch and queues each request's reply.
+    void executeBatch();
     void checkReadTimeouts(double now);
     LoopDeadlines loopDeadlines() const;
     bool drainComplete() const;
@@ -249,7 +226,6 @@ private:
     double drainStart_ = 0.0;
     std::map<int, Conn> conns_;
     std::deque<Request> pending_;
-    std::optional<double> lastQueryArrival_;  ///< previous QueryBatch, any connection
     std::int64_t pendingQueries_ = 0;
     ServerStats stats_;
 };

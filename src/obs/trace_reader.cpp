@@ -153,6 +153,10 @@ std::vector<SpanStat> spanStats(const std::vector<TraceRecord>& records) {
     // equal depth are disjoint; a span's parent is the latest shallower span
     // on the same thread that started at or before it. Spans on other
     // threads may overlap it at any depth, so nesting is rebuilt per tid.
+    // A span with depth > 0 and no open span one level up on its own thread
+    // ran on a worker for a caller on another thread (the concurrent
+    // calibration sims): it is charged to the latest span one level up, on
+    // another thread, that encloses it in time.
     std::vector<const TraceRecord*> spans;
     for (const auto& r : records)
         if (r.isSpan()) spans.push_back(&r);
@@ -163,15 +167,28 @@ std::vector<SpanStat> spanStats(const std::vector<TraceRecord>& records) {
 
     std::unordered_map<const TraceRecord*, double> childTime;
     std::unordered_map<int, std::vector<const TraceRecord*>> open;  // per tid
+    std::vector<std::vector<const TraceRecord*>> byDepth;           // all tids, by start
     for (const auto* s : spans) {
         auto& lastAtDepth = open[s->tid];
         const auto depth = static_cast<std::size_t>(std::max(s->depth, 0));
         if (lastAtDepth.size() <= depth) lastAtDepth.resize(depth + 1, nullptr);
+        if (byDepth.size() <= depth) byDepth.resize(depth + 1);
         lastAtDepth[depth] = s;
+        byDepth[depth].push_back(s);
         std::fill(lastAtDepth.begin() + static_cast<std::ptrdiff_t>(depth) + 1,
                   lastAtDepth.end(), nullptr);
-        if (depth > 0 && lastAtDepth[depth - 1] != nullptr)
-            childTime[lastAtDepth[depth - 1]] += s->dur;
+        if (depth == 0) continue;
+        const TraceRecord* parent = lastAtDepth[depth - 1];
+        if (parent != nullptr && parent->end() < s->ts) parent = nullptr;  // closed before s
+        if (parent == nullptr) {
+            const auto& candidates = byDepth[depth - 1];
+            for (auto it = candidates.rbegin(); it != candidates.rend(); ++it)
+                if ((*it)->tid != s->tid && (*it)->end() >= s->end()) {
+                    parent = *it;
+                    break;
+                }
+        }
+        if (parent != nullptr) childTime[parent] += s->dur;
     }
 
     std::map<std::string, SpanStat> byName;

@@ -484,20 +484,19 @@ TEST(NetClient, ConnectRefusesAnotherProtocolVersion) {
 TEST(NetServer, OverloadShedsWholeRequestsWithTypedReplies) {
     net::ServerOptions opts;
     opts.maxPendingQueries = 2;
-    opts.coalesceWindow = 0.2;  // hold queries pending long enough to collide
     ServerHarness h(opts);
 
     net::Client client;
     client.connect("127.0.0.1", h.port());
 
-    // Two requests on one connection: frame order fixes arrival order, so the
-    // first request's two queries fill the pending budget and the second must
-    // be shed immediately (typed, whole-request) while the first is still
-    // answered normally after the coalesce window.
+    // Two requests in one write: one wake reads both before anything runs,
+    // and frame order fixes arrival order, so the first request's two
+    // queries fill the pending budget and the second must be shed
+    // immediately (typed, whole-request) while the first is answered
+    // normally once the pass that read it ends.
     ASSERT_TRUE(client.sendRaw(
         net::encodeFrame(net::MsgType::QueryBatch,
-                         net::encodeQueryBatch(makeBatch(1, {0, 1})))));
-    ASSERT_TRUE(client.sendRaw(
+                         net::encodeQueryBatch(makeBatch(1, {0, 1}))) +
         net::encodeFrame(net::MsgType::QueryBatch,
                          net::encodeQueryBatch(makeBatch(2, {2, 3})))));
 
@@ -526,14 +525,32 @@ TEST(NetServer, OverloadShedsWholeRequestsWithTypedReplies) {
 }
 
 TEST(NetServer, ExpiredDeadlinesAnsweredWithoutScanning) {
-    net::ServerOptions opts;
-    opts.coalesceWindow = 0.05;  // longer than the 1us deadline below
-    ServerHarness h(opts);
+    // No stored entries, so the server's first Mutate characterizes the
+    // write cost: a transient simulation, far longer than 1 µs.
+    ServerHarness h({}, /*entries=*/0);
     net::Client client;
     client.connect("127.0.0.1", h.port());
 
-    const auto res = client.query(makeBatch(1, {0, 1}, /*deadlineMicros=*/1));
-    ASSERT_TRUE(res.ok);
+    // The query rides behind that Mutate in one write. Its 1 µs deadline
+    // counts from the wake that read both frames, and the Mutate runs first,
+    // so the deadline has passed before the query's batch starts.
+    net::MutateBody mutate;
+    mutate.requestId = 1;
+    net::MutateOpSpec insert;
+    insert.op = net::MutateOp::Insert;
+    insert.word = tcam::TernaryWord::fromBits(0, 8);
+    mutate.ops.push_back(insert);
+    ASSERT_TRUE(client.sendRaw(
+        net::encodeFrame(net::MsgType::Mutate, net::encodeMutate(mutate)) +
+        net::encodeFrame(net::MsgType::QueryBatch,
+                         net::encodeQueryBatch(makeBatch(2, {0, 1}, /*deadlineMicros=*/1)))));
+
+    // The Mutate is answered as it runs, the query when the pass ends.
+    const auto ack = client.readFrame(5.0);
+    ASSERT_TRUE(ack.mutateReply.has_value()) << ack.message;
+    const auto res = client.readFrame(5.0);
+    ASSERT_TRUE(res.ok) << res.message;
+    EXPECT_EQ(res.reply.requestId, 2u);
     EXPECT_EQ(res.reply.status[0], net::QueryStatus::DeadlineExceeded);
     EXPECT_EQ(res.reply.status[1], net::QueryStatus::DeadlineExceeded);
     EXPECT_EQ(res.reply.rows[0], serve::kRowDeadlineExpired);
@@ -680,20 +697,20 @@ TEST(NetServer, ClientFaultPlanInjectsTornFrame) {
 TEST(NetServer, DrainAnswersInFlightThenExits) {
     ScopedObs obsOn;
     const long long queriesBefore = obs::counter("net.queries").value();
-    net::ServerOptions opts;
-    opts.coalesceWindow = 60.0;  // longer than the query timeout: only the drain flushes
-    ServerHarness h(opts);
+    ServerHarness h;
     net::Client client;
     client.connect("127.0.0.1", h.port());
 
     std::thread querier([&] {
-        // In flight when requestStop() lands; drain must still answer it.
+        // Its reply may still be unread when requestStop() lands; drain must
+        // still deliver it.
         const auto res = client.query(makeBatch(1, {0, 7}), 5.0);
         ASSERT_TRUE(res.ok);
         EXPECT_EQ(res.reply.rows[0], 0);
         EXPECT_EQ(res.reply.rows[1], -1);
     });
-    // Stop only once the server has parsed both queries and holds them.
+    // Stop only once the server has parsed both queries, so the request
+    // is not shed as arriving during the drain.
     EXPECT_TRUE(waitForCounter("net.queries", queriesBefore + 2));
     h.server().requestStop();
     querier.join();
@@ -776,8 +793,8 @@ TEST(NetLoopTiming, SubMillisecondWaitIsNotRoundedToAMillisecond) {
 }
 
 TEST(NetLoopTiming, TimeoutNeverShorterThanTheWait) {
-    // A timeout short of the wait would wake the loop with the coalesce
-    // window still open, and it would spin until the window closed.
+    // A timeout short of the wait would wake the loop before its deadline,
+    // and it would spin until the deadline came.
     std::mt19937_64 rng(17);
     std::uniform_real_distribution<double> start(1.0, 1e6);
     std::uniform_real_distribution<double> exponent(-9.0, 0.0);
@@ -811,16 +828,11 @@ TEST(NetLoopTiming, LongWaitCappedAtOneSecond) {
 
 TEST(NetLoopTiming, EarliestDeadlineWins) {
     net::ServerOptions opts;
-    opts.coalesceWindow = 0.5e-3;
     opts.readTimeout = 5.0;
     opts.drainTimeout = 2.0;
     const double now = 100.0;
     net::LoopDeadlines d;
     EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 100.1);  // heartbeat alone
-
-    net::LoopDeadlines coalesce;
-    coalesce.oldestArrival = 99.9999;
-    EXPECT_DOUBLE_EQ(net::nextWake(now, coalesce, opts), 99.9999 + 0.5e-3);
 
     net::LoopDeadlines read;
     read.oldestMidFrame = 95.05;
@@ -830,78 +842,48 @@ TEST(NetLoopTiming, EarliestDeadlineWins) {
     drain.drainStart = 98.02;
     EXPECT_DOUBLE_EQ(net::nextWake(now, drain, opts), 98.02 + 2.0);
 
-    // All four armed: the earliest one wins, whichever term it is.
-    d.oldestArrival = 99.9999;
+    // All armed: the earliest one wins, whichever term it is.
     d.oldestMidFrame = 95.05;
     d.drainStart = 98.02;
-    EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 99.9999 + 0.5e-3);
-    d.oldestArrival = 100.05;
     EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 98.02 + 2.0);
     d.drainStart = 98.2;
     EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 95.05 + 5.0);
     d.oldestMidFrame = 96.0;
-    d.oldestArrival = 100.5;
     EXPECT_DOUBLE_EQ(net::nextWake(now, d, opts), 100.1);
 }
 
-TEST(NetLoopTiming, FirstArrivalWaitsTheWindow) {
-    net::ServerOptions opts;
-    opts.coalesceWindow = 0.5e-3;
-    EXPECT_DOUBLE_EQ(net::flushBy(100.0, std::nullopt, opts), 100.0 + 0.5e-3);
-}
-
-TEST(NetLoopTiming, GapOfAWholeWindowFlushesAtArrival) {
-    net::ServerOptions opts;
-    opts.coalesceWindow = 0.5e-3;
-    const double previous = 100.0;
-    const double now = previous + opts.coalesceWindow;
-    EXPECT_EQ(net::flushBy(now, previous, opts), now);
-    EXPECT_EQ(net::flushBy(now + 1.0, previous, opts), now + 1.0);
-}
-
-TEST(NetLoopTiming, GapOneNanosecondShortWaits) {
-    net::ServerOptions opts;
-    opts.coalesceWindow = 0.5e-3;
-    const double previous = 100.0;
-    const double now = previous + opts.coalesceWindow - 1e-9;
-    EXPECT_EQ(net::flushBy(now, previous, opts), now + opts.coalesceWindow);
-    EXPECT_EQ(net::flushBy(previous, previous, opts), previous + opts.coalesceWindow);
-}
-
-TEST(NetLoopTiming, ZeroWindowAlwaysFlushesAtArrival) {
-    net::ServerOptions opts;
-    opts.coalesceWindow = 0.0;
-    EXPECT_EQ(net::flushBy(100.0, std::nullopt, opts), 100.0);
-    EXPECT_EQ(net::flushBy(100.0, 100.0, opts), 100.0);
-    EXPECT_EQ(net::flushBy(100.0, 99.0, opts), 100.0);
-}
-
-TEST(NetServer, RequestArrivingAWindowAfterTheLastFlushesOnArrival) {
-    ScopedObs obsOn;
-    obs::Counter& arrival = obs::counter("net.flush.arrival");
-    obs::Counter& window = obs::counter("net.flush.window");
-    const long long arrivalBefore = arrival.value();
-    const long long windowBefore = window.value();
-    net::ServerOptions opts;
-    opts.coalesceWindow = 0.2;
-    ServerHarness h(opts);
+TEST(NetServer, FramesReadInOneWakeShareOneBatch) {
+    ServerHarness h;
     net::Client client;
     client.connect("127.0.0.1", h.port());
 
-    // A is the first request the server sees, so it waits out the window;
-    // its reply therefore leaves at least one window after A arrived, and
-    // B, sent only once that reply is read, arrives at least a window after
-    // A: B flushes on arrival. No clock is read here.
-    ASSERT_TRUE(client.query(makeBatch(1, {0}), 5.0).ok);
-    const auto b = client.query(makeBatch(2, {1}), 5.0);
-    ASSERT_TRUE(b.ok);
-    EXPECT_EQ(b.reply.rows[0], 1);
+    // Three requests of 1, 3 and 2 keys in one write: one wake reads them
+    // all, so they run as one engine batch, and each reply must carry the
+    // rows of its own keys, sliced from that batch at its own offset.
+    const std::vector<net::QueryBatchBody> batches = {
+        makeBatch(1, {2}), makeBatch(2, {3, 7, 0}), makeBatch(3, {1, 2})};
+    std::string frames;
+    for (const auto& b : batches)
+        frames += net::encodeFrame(net::MsgType::QueryBatch, net::encodeQueryBatch(b));
+    ASSERT_TRUE(client.sendRaw(frames));
+
+    std::vector<std::optional<tcam::TernaryWord>> table;
+    for (std::int64_t row = 0; row < h.engine().capacity(); ++row)
+        table.push_back(h.engine().entryAt(row));
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        const auto res = client.readFrame(5.0);
+        ASSERT_TRUE(res.ok);
+        ASSERT_EQ(res.reply.requestId, batches[i].requestId);  // replies keep frame order
+        ASSERT_EQ(res.reply.rows.size(), batches[i].keys.size());
+        for (std::size_t k = 0; k < batches[i].keys.size(); ++k)
+            EXPECT_EQ(res.reply.rows[k], tcam::referenceFindFirst(table, batches[i].keys[k]))
+                << "request " << batches[i].requestId << " key " << k;
+    }
 
     client.close();
     h.stop();
-    EXPECT_EQ(h.stats().batches, 2);
-    EXPECT_EQ(window.value() - windowBefore, 1);
-    EXPECT_EQ(arrival.value() - arrivalBefore, 1);
+    EXPECT_EQ(h.stats().requests, 3);
+    EXPECT_EQ(h.stats().batches, 1);
     expectAccountingInvariant(h.stats());
 }
 

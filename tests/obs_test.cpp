@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <string>
 #include <vector>
@@ -202,6 +203,29 @@ TEST(Trace, SpanStatsNestsSpansPerThread) {
     }
     EXPECT_NEAR(aSelf, 0.010 - 0.006, 1e-12);
     EXPECT_NEAR(bSelf, 0.010 - 0.001, 1e-12);
+}
+
+TEST(Trace, SpanStatsChargesWorkerSpansToTheirCaller) {
+    // A caller on tid 1 runs two calibration sims concurrently: one on its
+    // own thread, one on worker tid 2 nested by depth under the caller. The
+    // worker's sim has no depth-0 span on its own tid; it belongs to the
+    // depth-0 span on another tid that encloses it in time (bank), not to
+    // a later-starting depth-0 span that ends before it does (other).
+    std::vector<obs::TraceRecord> records;
+    for (const char* line : {
+             R"({"type":"span","name":"spice","ts":0.0015,"dur":0.004,"tid":2,"depth":2})",
+             R"({"type":"span","name":"sim","ts":0.001,"dur":0.003,"tid":1,"depth":1})",
+             R"({"type":"span","name":"sim","ts":0.001,"dur":0.006,"tid":2,"depth":1})",
+             R"({"type":"span","name":"other","ts":0.0005,"dur":0.002,"tid":3,"depth":0})",
+             R"({"type":"span","name":"bank","ts":0.000,"dur":0.010,"tid":1,"depth":0})",
+         })
+        records.push_back(*obs::parseTraceLine(line));
+
+    std::map<std::string, obs::SpanStat> stats;
+    for (const auto& s : obs::spanStats(records)) stats[s.name] = s;
+    EXPECT_NEAR(stats["bank"].self, 0.010 - 0.003 - 0.006, 1e-12);
+    EXPECT_NEAR(stats["other"].self, 0.002, 1e-12);
+    EXPECT_NEAR(stats["sim"].self, 0.003 + 0.006 - 0.004, 1e-12);
 }
 
 TEST(Trace, ParserRejectsMalformedLines) {

@@ -594,23 +594,29 @@ TEST(SimNet, EndToEndSimilarityMatchesOracle) {
 TEST(SimNet, OverloadShedsSimilarityTyped) {
     net::ServerOptions opts;
     opts.maxPendingQueries = 1;
-    opts.coalesceWindow = 0.3;  // hold the filler query pending long enough
     SimServerHarness h(opts);
     net::Client client;
     client.connect("127.0.0.1", h.port());
 
     // Fill the pending budget with an exact-match query, then hit the
-    // similarity path while the server is saturated: the whole request is
-    // shed with a typed reply and empty per-key hit lists.
+    // similarity path while the server is saturated: both frames go in one
+    // write, so one wake reads them and the filler is still pending when the
+    // similarity frame is parsed. The whole request is shed with a typed
+    // reply and empty per-key hit lists.
     net::QueryBatchBody filler;
     filler.requestId = 8;
     filler.keys.push_back(tcam::TernaryWord::fromBits(1, 8));
     ASSERT_TRUE(client.sendRaw(
-        net::encodeFrame(net::MsgType::QueryBatch, net::encodeQueryBatch(filler))));
+        net::encodeFrame(net::MsgType::QueryBatch, net::encodeQueryBatch(filler)) +
+        net::encodeFrame(net::MsgType::Similarity,
+                         net::encodeSimilarity(
+                             makeSimRequest(9, sim::SimilarityKind::NearestK, 1, {0, 1})))));
 
-    const auto res =
-        client.similarity(makeSimRequest(9, sim::SimilarityKind::NearestK, 1, {0, 1}));
+    // The similarity frame is answered as it is parsed, the filler when the
+    // pass ends.
+    const auto res = client.readFrame(5.0);
     ASSERT_TRUE(res.simReply.has_value()) << res.message;
+    EXPECT_EQ(res.simReply->requestId, 9u);
     EXPECT_EQ(res.simReply->admission,
               static_cast<std::uint8_t>(serve::BatchAdmission::Shed));
     for (const auto& hl : res.simReply->hits) EXPECT_TRUE(hl.empty());

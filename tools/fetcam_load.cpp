@@ -45,7 +45,9 @@
 // a healthy server shows zero permanent failures even under injected faults.
 //
 // --entries/--seed must match the server's for the --hit-fraction mix to
-// produce actual hits (see listen_workload.hpp).
+// produce actual hits (see listen_workload.hpp). Every numeric flag value
+// must be a whole number of its type ("1k", "abc" and "" are refused with
+// InvalidSpec).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -63,6 +65,7 @@
 #include "recover/sim_error.hpp"
 #include "serve/query_engine.hpp"
 #include "listen_workload.hpp"
+#include "parse_number.hpp"
 
 using namespace fetcam;
 
@@ -104,28 +107,29 @@ Args parseArgs(int argc, char** argv) {
                                         "fetcam_load", "missing value after " + opt);
             return argv[i];
         };
+        auto number = [&](auto& out) { tools::parseNumber(next(), out, "fetcam_load", opt); };
         if (opt == "--host") a.host = next();
-        else if (opt == "--port") a.port = std::atoi(next().c_str());
+        else if (opt == "--port") number(a.port);
         else if (opt == "--port-file") a.portFile = next();
-        else if (opt == "--qps") a.qps = std::atof(next().c_str());
-        else if (opt == "--connections") a.connections = std::atoi(next().c_str());
-        else if (opt == "--queries") a.queries = std::atoll(next().c_str());
-        else if (opt == "--seconds") a.seconds = std::atof(next().c_str());
-        else if (opt == "--batch") a.batch = std::atoi(next().c_str());
-        else if (opt == "--deadline-ms") a.deadlineMs = std::atof(next().c_str());
-        else if (opt == "--hit-fraction") a.hitFraction = std::atof(next().c_str());
-        else if (opt == "--entries") a.entries = std::atoll(next().c_str());
-        else if (opt == "--seed") a.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
-        else if (opt == "--retries") a.retries = std::atoi(next().c_str());
-        else if (opt == "--timeout") a.timeout = std::atof(next().c_str());
-        else if (opt == "--churn") a.churn = std::atof(next().c_str());
-        else if (opt == "--similarity") a.similarity = std::atof(next().c_str());
-        else if (opt == "--sim-k") a.simK = std::atoi(next().c_str());
-        else if (opt == "--sim-threshold") a.simThreshold = std::atoi(next().c_str());
-        else if (opt == "--fault-torn") a.faultTorn = std::atoi(next().c_str());
-        else if (opt == "--fault-garbage") a.faultGarbage = std::atoi(next().c_str());
-        else if (opt == "--fault-disconnect") a.faultDisconnect = std::atoi(next().c_str());
-        else if (opt == "--fault-stall") a.faultStall = std::atoi(next().c_str());
+        else if (opt == "--qps") number(a.qps);
+        else if (opt == "--connections") number(a.connections);
+        else if (opt == "--queries") number(a.queries);
+        else if (opt == "--seconds") number(a.seconds);
+        else if (opt == "--batch") number(a.batch);
+        else if (opt == "--deadline-ms") number(a.deadlineMs);
+        else if (opt == "--hit-fraction") number(a.hitFraction);
+        else if (opt == "--entries") number(a.entries);
+        else if (opt == "--seed") number(a.seed);
+        else if (opt == "--retries") number(a.retries);
+        else if (opt == "--timeout") number(a.timeout);
+        else if (opt == "--churn") number(a.churn);
+        else if (opt == "--similarity") number(a.similarity);
+        else if (opt == "--sim-k") number(a.simK);
+        else if (opt == "--sim-threshold") number(a.simThreshold);
+        else if (opt == "--fault-torn") number(a.faultTorn);
+        else if (opt == "--fault-garbage") number(a.faultGarbage);
+        else if (opt == "--fault-disconnect") number(a.faultDisconnect);
+        else if (opt == "--fault-stall") number(a.faultStall);
         else if (opt == "--json") a.jsonPath = next();
         else
             throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_load",

@@ -11,7 +11,7 @@
 //                [--json FILE] [--trace FILE]
 //   fetcam_serve --listen PORT [--host H] [--port-file FILE] [--word-bits N]
 //                [--entries N] [--rows N] [--seed S] [--deadline-ms D]
-//                [--coalesce-us U] [--max-pending N] [--max-connections N]
+//                [--max-pending N] [--max-connections N]
 //                [--read-timeout S] [--drain-timeout S] [--max-batch N]
 //                [--bits-per-cell N]
 //                [--store DIR] [--persist-entries] [--compact] [--json FILE]
@@ -22,9 +22,10 @@
 // generated from --seed/--entries/--word-bits (the same set fetcam_load
 // regenerates client-side). SIGTERM/SIGINT begin a graceful drain: stop
 // accepting, answer everything in flight, flush the store, then emit the
-// final report and exit 0. --coalesce-us U (default 500) is the longest a
-// query waits for batchmates from other requests; a request arriving U µs or
-// more after the previous one runs at once instead of waiting.
+// final report and exit 0. The server runs every request as soon as the
+// loop pass that read it ends; requests read in one pass, on any connection,
+// share an engine batch of up to --max-batch queries, and --max-pending
+// bounds how many queries one pass may queue before the rest are shed.
 //
 // Similarity frames (protocol v3 nearest-k / threshold queries, driven by
 // fetcam_load --similarity) are served from the same snapshot table;
@@ -51,7 +52,9 @@
 // across cold/warm runs and any --jobs value — CI diffs it) and a
 // "volatile" object (wall-clock, cache and store traffic).
 //
-// Exit codes follow the structured SimError taxonomy (see recover/sim_error).
+// Every numeric flag value must be a whole number of its type ("1k", "abc"
+// and "" are refused with InvalidSpec). Exit codes follow the structured
+// SimError taxonomy (see recover/sim_error).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -68,6 +71,7 @@
 #include "recover/sim_error.hpp"
 #include "serve/adapters.hpp"
 #include "listen_workload.hpp"
+#include "parse_number.hpp"
 
 using namespace fetcam;
 
@@ -99,7 +103,6 @@ struct Args {
     std::string portFile;
     int wordBits = 32;
     double deadlineMs = 0.0;
-    double coalesceUs = 500.0;
     std::int64_t maxPending = 1 << 16;
     int maxConnections = 256;
     int maxBatch = 4096;
@@ -118,6 +121,7 @@ Args parseArgs(int argc, char** argv) {
                                         "fetcam_serve", "missing value after " + opt);
             return argv[i];
         };
+        auto number = [&](auto& out) { tools::parseNumber(next(), out, "fetcam_serve", opt); };
         if (opt == "--workload") {
             a.workload = next();
             if (a.workload != "lpm" && a.workload != "tlb" &&
@@ -126,15 +130,15 @@ Args parseArgs(int argc, char** argv) {
                                         "fetcam_serve",
                                         "--workload expects lpm|tlb|classifier|all");
         } else if (opt == "--entries") {
-            a.entries = std::atoll(next().c_str());
+            number(a.entries);
         } else if (opt == "--queries") {
-            a.queries = std::atoll(next().c_str());
+            number(a.queries);
         } else if (opt == "--rows") {
-            a.rows = std::atoi(next().c_str());
+            number(a.rows);
         } else if (opt == "--batch") {
-            a.batch = std::atoi(next().c_str());
+            number(a.batch);
         } else if (opt == "--seed") {
-            a.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+            number(a.seed);
         } else if (opt == "--jobs") {
             try {
                 a.jobs = numeric::parseJobs(next());
@@ -155,29 +159,27 @@ Args parseArgs(int argc, char** argv) {
         } else if (opt == "--persist-entries") {
             a.persistEntries = true;
         } else if (opt == "--listen") {
-            a.listenPort = std::atoi(next().c_str());
+            number(a.listenPort);
         } else if (opt == "--host") {
             a.host = next();
         } else if (opt == "--port-file") {
             a.portFile = next();
         } else if (opt == "--word-bits") {
-            a.wordBits = std::atoi(next().c_str());
+            number(a.wordBits);
         } else if (opt == "--deadline-ms") {
-            a.deadlineMs = std::atof(next().c_str());
-        } else if (opt == "--coalesce-us") {
-            a.coalesceUs = std::atof(next().c_str());
+            number(a.deadlineMs);
         } else if (opt == "--max-pending") {
-            a.maxPending = std::atoll(next().c_str());
+            number(a.maxPending);
         } else if (opt == "--max-connections") {
-            a.maxConnections = std::atoi(next().c_str());
+            number(a.maxConnections);
         } else if (opt == "--max-batch") {
-            a.maxBatch = std::atoi(next().c_str());
+            number(a.maxBatch);
         } else if (opt == "--read-timeout") {
-            a.readTimeout = std::atof(next().c_str());
+            number(a.readTimeout);
         } else if (opt == "--drain-timeout") {
-            a.drainTimeout = std::atof(next().c_str());
+            number(a.drainTimeout);
         } else if (opt == "--bits-per-cell") {
-            a.bitsPerCell = std::atoi(next().c_str());
+            number(a.bitsPerCell);
         } else {
             throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_serve",
                                     "unknown option " + opt);
@@ -200,7 +202,7 @@ Args parseArgs(int argc, char** argv) {
                                 "--persist-entries requires --listen and --store DIR");
     if (a.listenPort >= 0 &&
         (a.wordBits < 1 || a.wordBits > 512 || a.maxBatch < 1 || a.maxPending < 1 ||
-         a.coalesceUs < 0.0 || a.readTimeout <= 0.0 || a.drainTimeout <= 0.0))
+         a.readTimeout <= 0.0 || a.drainTimeout <= 0.0))
         throw recover::SimError(recover::SimErrorReason::InvalidSpec, "fetcam_serve",
                                 "--listen argument out of range");
     if (a.bitsPerCell < 1 || a.bitsPerCell > device::kMaxMlcBitsPerCell)
@@ -473,22 +475,11 @@ void writeListenJson(const std::string& path, const net::Server& server,
     os << "    \"energyPerQueryJ\": " << engine.energyPerQuery()
        << ",\n    \"latencyS\": " << engine.queryLatency() << "\n  },\n";
     os << "  \"volatile\": {\n";
-    for (const auto& [key, name] :
-         {std::pair{"queueWait", "serve.admission.queue_wait"},
-          std::pair{"loopOversleep", "net.loop.oversleep.seconds"}}) {
-        const auto& h = obs::histogram(name);
-        os << "    \"" << key << "\": {\"count\": " << h.count() << ", \"meanSeconds\": "
-           << (h.count() > 0 ? h.mean() : 0.0)
-           << ", \"p50\": " << (h.count() > 0 ? obs::quantile(h, 0.5) : 0.0)
-           << ", \"p99\": " << (h.count() > 0 ? obs::quantile(h, 0.99) : 0.0) << "},\n";
-    }
-    // Why each batch flushed; the four counts sum to deterministic.server.batches.
-    const auto flushes = [](const char* reason) {
-        return obs::counter(std::string("net.flush.") + reason).value();
-    };
-    os << "    \"flushes\": {\"full\": " << flushes("full") << ", \"window\": " << flushes("window")
-       << ", \"arrival\": " << flushes("arrival") << ", \"drain\": " << flushes("drain")
-       << "},\n";
+    const auto& wait = obs::histogram("serve.admission.queue_wait");
+    os << "    \"queueWait\": {\"count\": " << wait.count() << ", \"meanSeconds\": "
+       << (wait.count() > 0 ? wait.mean() : 0.0)
+       << ", \"p50\": " << (wait.count() > 0 ? obs::quantile(wait, 0.5) : 0.0)
+       << ", \"p99\": " << (wait.count() > 0 ? obs::quantile(wait, 0.99) : 0.0) << "},\n";
     os << "    \"cache\": {\"entries\": " << cs.entries << ", \"hits\": " << cs.hits
        << ", \"misses\": " << cs.misses << "},\n";
     os << "    \"store\": {\"attached\": " << (ss.attached ? "true" : "false")
@@ -504,8 +495,7 @@ void writeListenJson(const std::string& path, const net::Server& server,
 }
 
 int runListen(const Args& a, const std::shared_ptr<serve::CharacterizationCache>& cache) {
-    // The queue-wait and loop-oversleep histograms and net.* counters live
-    // behind obs::enabled().
+    // The queue-wait histogram and net.* counters live behind obs::enabled().
     obs::setEnabled(true);
 
     serve::EngineOptions base = baseOptions(a);
@@ -541,7 +531,6 @@ int runListen(const Args& a, const std::shared_ptr<serve::CharacterizationCache>
     opts.port = a.listenPort;
     opts.maxConnections = a.maxConnections;
     opts.maxBatch = static_cast<std::uint32_t>(a.maxBatch);
-    opts.coalesceWindow = a.coalesceUs * 1e-6;
     opts.maxPendingQueries = a.maxPending;
     opts.readTimeout = a.readTimeout;
     opts.defaultDeadline = a.deadlineMs * 1e-3;
