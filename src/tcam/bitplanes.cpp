@@ -25,13 +25,10 @@ constexpr int kNarrowBlocks = 2;
 /// 15 planes.
 constexpr int kMaxCounterPlanes = 15;
 
-/// Ripple-carry add of a group's 16 words of a kill plane into the
-/// counters (lanes past a partial group's width add ignored words); returns
-/// how many counter planes the add reached.
-int addCarries(std::uint64_t* cnt, const std::uint64_t* word) {
-    std::uint64_t carry[kGroupBlocks];
-    std::copy_n(word, kGroupBlocks, carry);
-    for (int c = 0;; ++c) {
+/// Ripple-carry add of 16 lanes of `carry` into the counters from plane `c`
+/// up (lanes past a partial group's width add ignored words).
+void rippleAdd(std::uint64_t* cnt, std::uint64_t* carry, int c) {
+    for (;; ++c) {
         std::uint64_t any = 0;
         for (int k = 0; k < kGroupBlocks; ++k) {
             const std::uint64_t overflow = cnt[c * kGroupBlocks + k] & carry[k];
@@ -39,7 +36,53 @@ int addCarries(std::uint64_t* cnt, const std::uint64_t* word) {
             carry[k] = overflow;
             any |= overflow;
         }
-        if (!any) return c + 1;
+        if (!any) return;
+    }
+}
+
+/// One full adder per bit: sum + a + b -> sum (bit 0) and carry (bit 1).
+void fullAdd(std::uint64_t& sum, std::uint64_t& carry, std::uint64_t a, std::uint64_t b) {
+    const std::uint64_t u = sum ^ a;
+    carry = (sum & a) | (u & b);
+    sum = u ^ b;
+}
+
+/// Harley–Seal step: add four planes' 16 lanes into the counters. Two full
+/// adders fold them into counter plane 0, one folds the two carries into
+/// plane 1, and only the plane-2 carry ripples.
+void addFour(std::uint64_t* cnt, const std::uint64_t* a, const std::uint64_t* b,
+             const std::uint64_t* c, const std::uint64_t* d) {
+    std::uint64_t fours[kGroupBlocks];
+    for (int k = 0; k < kGroupBlocks; ++k) {
+        std::uint64_t twosA, twosB;
+        fullAdd(cnt[k], twosA, a[k], b[k]);
+        fullAdd(cnt[k], twosB, c[k], d[k]);
+        fullAdd(cnt[kGroupBlocks + k], fours[k], twosA, twosB);
+    }
+    rippleAdd(cnt, fours, 2);
+}
+
+/// Transpose an 8x8 bit matrix held one row per byte (bit j of byte i is
+/// element (i, j)).
+std::uint64_t transpose8x8(std::uint64_t x) {
+    std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+    return x ^ t ^ (t << 28);
+}
+
+/// Counter planes [from, min(from + 8, used)) of one block (planes
+/// kGroupBlocks words apart) turned row-major: byte i of out[j] holds bits
+/// from..from+7 of row 8j + i's count.
+void countersToBytes(const std::uint64_t* planes, int from, int used, std::uint64_t* out) {
+    const int to = std::min(from + 8, used);
+    for (int j = 0; j < 8; ++j) {
+        std::uint64_t m = 0;
+        for (int c = from; c < to; ++c)
+            m |= ((planes[c * kGroupBlocks] >> (8 * j)) & 0xFF) << (8 * (c - from));
+        out[j] = transpose8x8(m);
     }
 }
 
@@ -53,11 +96,14 @@ int liveBlocks(const std::uint64_t* m) {
 
 KeySlices TernaryPlanes::prepare(const TernaryWord& key) {
     KeySlices s;
-    s.plane.reserve(key.size());
-    for (std::size_t b = 0; b < key.size(); ++b) {
-        const Trit t = key[b];
-        if (t == Trit::X) continue;
-        s.plane.push_back(static_cast<std::uint16_t>(2 * b + (t == Trit::One)));
+    s.plane.reserve(key.definiteCount());
+    for (std::size_t w = 0; w < key.wordCount(); ++w) {
+        const std::uint64_t value = key.valueWord(w);
+        for (std::uint64_t care = key.careWord(w); care; care &= care - 1) {
+            const int i = std::countr_zero(care);
+            s.plane.push_back(
+                static_cast<std::uint16_t>(2 * (64 * w + i) + ((value >> i) & 1u)));
+        }
     }
     return s;
 }
@@ -79,14 +125,23 @@ void TernaryPlanes::set(std::int64_t row, const TernaryWord& word) {
     const std::size_t stride = groupStride(group);
     std::uint64_t* kill = kill_.data() + groupOffset(group) + ((row >> 6) & 15);
     const std::uint64_t rowBit = std::uint64_t{1} << (row & 63);
-    // Branchless: clear the row's bit in both planes, then OR it back into
-    // the one the trit selects (all-ones mask when it does, zero otherwise).
-    for (int b = 0; b < bits_; ++b) {
-        const Trit t = word[static_cast<std::size_t>(b)];
-        std::uint64_t& killedByZero = kill[2 * static_cast<std::size_t>(b) * stride];
-        std::uint64_t& killedByOne = kill[(2 * static_cast<std::size_t>(b) + 1) * stride];
-        killedByZero = (killedByZero & ~rowBit) | (rowBit & -std::uint64_t{t == Trit::One});
-        killedByOne = (killedByOne & ~rowBit) | (rowBit & -std::uint64_t{t == Trit::Zero});
+    for (std::size_t w = 0; w < word.wordCount(); ++w) {
+        // Kept in locals and shifted down one trit per plane pair: the
+        // planes are uint64_t too, so reading the word inside the loop
+        // would reload it after every plane store, and a shift by the trit
+        // index costs more than a shift by one.
+        std::uint64_t killedByZero = word.valueWord(w);  // stored One
+        std::uint64_t killedByOne = word.careWord(w) & ~killedByZero;
+        const int n = std::min(64, bits_ - 64 * static_cast<int>(w));
+        std::uint64_t* plane = kill + 2 * 64 * w * stride;
+        // Branchless: clear the row's bit in both planes, then OR it back
+        // into the one the trit selects.
+        for (int i = 0; i < n; ++i, plane += 2 * stride) {
+            plane[0] = (plane[0] & ~rowBit) | (rowBit & -(killedByZero & 1));
+            plane[stride] = (plane[stride] & ~rowBit) | (rowBit & -(killedByOne & 1));
+            killedByZero >>= 1;
+            killedByOne >>= 1;
+        }
     }
     occ_[static_cast<std::size_t>(row >> 6)] |= rowBit;
 }
@@ -102,12 +157,15 @@ std::optional<TernaryWord> TernaryPlanes::at(std::int64_t row) const {
     const std::uint64_t* kill = kill_.data() + groupOffset(group) + ((row >> 6) & 15);
     const int shift = static_cast<int>(row & 63);
     TernaryWord word(static_cast<std::size_t>(bits_));
-    for (int b = 0; b < bits_; ++b) {
-        const auto p = 2 * static_cast<std::size_t>(b);
-        if ((kill[p * stride] >> shift) & 1u)
-            word[static_cast<std::size_t>(b)] = Trit::One;
-        else if ((kill[(p + 1) * stride] >> shift) & 1u)
-            word[static_cast<std::size_t>(b)] = Trit::Zero;
+    for (std::size_t w = 0; w < word.wordCount(); ++w) {
+        std::uint64_t one = 0, zero = 0;
+        const int n = std::min(64, bits_ - 64 * static_cast<int>(w));
+        const std::uint64_t* plane = kill + 2 * 64 * w * stride;
+        for (int i = 0; i < n; ++i, plane += 2 * stride) {
+            one |= ((plane[0] >> shift) & 1u) << i;
+            zero |= ((plane[stride] >> shift) & 1u) << i;
+        }
+        word.setWord(w, one, one | zero);
     }
     return word;
 }
@@ -164,29 +222,44 @@ std::int64_t TernaryPlanes::findFirst(std::int64_t begin, std::int64_t end,
 
 void TernaryPlanes::mismatchCounts(const KeySlices& key, std::size_t* out) const {
     const std::int64_t groups = (blocks_ + kGroupBlocks - 1) / kGroupBlocks;
+    const std::uint16_t* planes = key.plane.data();
+    const std::size_t nPlanes = key.plane.size();
     for (std::int64_t g = 0; g < groups; ++g) {
         const std::uint64_t* kill = kill_.data() + groupOffset(g);
         const std::size_t stride = groupStride(g);
         std::uint64_t cnt[kMaxCounterPlanes * kGroupBlocks] = {};
-        int used = 0;
-        for (const std::uint16_t p : key.plane) {
-            const std::uint64_t* plane = kill + p * stride;
-            used = std::max(used, addCarries(cnt, plane));
+        std::size_t j = 0;
+        for (; j + 4 <= nPlanes; j += 4)
+            addFour(cnt, kill + planes[j] * stride, kill + planes[j + 1] * stride,
+                    kill + planes[j + 2] * stride, kill + planes[j + 3] * stride);
+        for (; j < nPlanes; ++j) {
+            std::uint64_t carry[kGroupBlocks];
+            std::copy_n(kill + planes[j] * stride, kGroupBlocks, carry);
+            rippleAdd(cnt, carry, 0);
         }
+        // used: one past the highest counter plane non-zero in a live lane.
+        int used = kMaxCounterPlanes;
+        while (used > 0 && std::all_of(cnt + (used - 1) * kGroupBlocks,
+                                       cnt + (used - 1) * kGroupBlocks + stride,
+                                       [](std::uint64_t w) { return w == 0; }))
+            --used;
         for (std::size_t k = 0; k < stride; ++k) {
             const std::int64_t block = g * kGroupBlocks + static_cast<std::int64_t>(k);
             const std::uint64_t occ = occ_[static_cast<std::size_t>(block)];
             const std::int64_t row0 = block << 6;
             const int n = static_cast<int>(std::min<std::int64_t>(64, rows_ - row0));
-            for (int r = 0; r < n; ++r) {
-                if (!((occ >> r) & 1u)) {
-                    out[row0 + r] = kNoEntry;
-                    continue;
+            std::uint64_t low[8], high[8] = {};
+            countersToBytes(cnt + k, 0, used, low);
+            if (used > 8) countersToBytes(cnt + k, 8, used, high);
+            // Eight rows per byte word: row 8q + i is byte i of low[q], high[q].
+            for (int q = 0; 8 * q < n; ++q) {
+                std::size_t* o = out + row0 + 8 * q;
+                const int m = std::min(8, n - 8 * q);
+                for (int i = 0; i < m; ++i) {
+                    const std::size_t d = ((low[q] >> (8 * i)) & 0xFF) |
+                                          ((high[q] >> (8 * i)) & 0xFF) << 8;
+                    o[i] = (occ >> (8 * q + i)) & 1u ? d : kNoEntry;
                 }
-                std::size_t d = 0;
-                for (int c = 0; c < used; ++c)
-                    d |= ((cnt[c * kGroupBlocks + k] >> r) & 1u) << c;
-                out[row0 + r] = d;
             }
         }
     }

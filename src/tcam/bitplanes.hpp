@@ -25,8 +25,13 @@
 // the first surviving word. A final partial group is stored at its own
 // width, so small sets are not padded to 1024 rows.
 //
-// mismatchCounts() reuses the same planes: every definite key bit's kill
-// plane is added, group by group, into vertical ripple-carry counters.
+// mismatchCounts() reuses the same planes: the definite key bits' kill
+// planes are added, group by group and four at a time, into vertical
+// counters with carry-save adders (Harley–Seal), and each row's count is
+// read out through 8x8 bit-matrix transposes.
+//
+// set(), at() and prepare() move a TernaryWord's packed value/care words,
+// never one trit at a time through the word's accessors.
 #pragma once
 
 #include <algorithm>

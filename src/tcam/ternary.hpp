@@ -1,4 +1,11 @@
 // Ternary data types: the values a TCAM stores and searches.
+//
+// A TernaryWord is packed into two bit arrays of 64-bit words: `care` (the
+// trit is definite) and `value` (the trit is One), trit i at bit i % 64 of
+// word i / 64. An X stores value 0 and the bits past size() stay zero, so
+// every operation works a word at a time (AND/XOR/popcount) and `==`
+// compares raw words. Words up to 128 trits live inline; wider ones take
+// one heap block.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +32,30 @@ constexpr bool tritMatches(Trit stored, Trit key) {
 /// Fixed-width ternary word.
 class TernaryWord {
 public:
+    /// What `w[i]` returns on a mutable word: reads as a Trit, assigns one.
+    class TritRef {
+    public:
+        operator Trit() const { return word_.get(i_); }
+        TritRef& operator=(Trit t) {
+            word_.set(i_, t);
+            return *this;
+        }
+        TritRef& operator=(const TritRef& other) { return *this = static_cast<Trit>(other); }
+
+    private:
+        friend class TernaryWord;
+        TritRef(TernaryWord& word, std::size_t i) : word_(word), i_(i) {}
+        TernaryWord& word_;
+        std::size_t i_;
+    };
+
     TernaryWord() = default;
-    explicit TernaryWord(std::size_t bits, Trit fill = Trit::X) : trits_(bits, fill) {}
+    explicit TernaryWord(std::size_t bits, Trit fill = Trit::X);
+    TernaryWord(const TernaryWord& other);
+    TernaryWord(TernaryWord&& other) noexcept;
+    TernaryWord& operator=(const TernaryWord& other);
+    TernaryWord& operator=(TernaryWord&& other) noexcept;
+    ~TernaryWord() { release(); }
 
     /// Parse from a string of '0', '1', 'x'/'X'/'*'. Throws on other chars.
     static TernaryWord fromString(const std::string& s);
@@ -36,12 +65,22 @@ public:
 
     std::string toString() const;
 
-    std::size_t size() const { return trits_.size(); }
-    bool empty() const { return trits_.empty(); }
-    Trit& operator[](std::size_t i) { return trits_[i]; }
-    Trit operator[](std::size_t i) const { return trits_[i]; }
+    std::size_t size() const { return bits_; }
+    bool empty() const { return bits_ == 0; }
+    TritRef operator[](std::size_t i) { return {*this, i}; }
+    Trit operator[](std::size_t i) const { return get(i); }
 
-    bool operator==(const TernaryWord&) const = default;
+    bool operator==(const TernaryWord& other) const;
+
+    /// 64-bit words per bit array: ceil(size() / 64).
+    std::size_t wordCount() const { return (bits_ + 63) / 64; }
+    /// Word w of `value` (bit i: trit 64w + i is One).
+    std::uint64_t valueWord(std::size_t w) const { return data()[w]; }
+    /// Word w of `care` (bit i: trit 64w + i is definite).
+    std::uint64_t careWord(std::size_t w) const { return data()[wordCount() + w]; }
+    /// Store trits [64w, 64w + 64) at once; value bits outside `care` and
+    /// bits past size() are dropped.
+    void setWord(std::size_t w, std::uint64_t value, std::uint64_t care);
 
     /// Word-level match: every trit position matches. Throws on width
     /// mismatch.
@@ -58,7 +97,26 @@ public:
     std::size_t definiteCount() const { return size() - wildcardCount(); }
 
 private:
-    std::vector<Trit> trits_;
+    static constexpr std::size_t kInlineBits = 128;
+
+    bool onHeap() const { return bits_ > kInlineBits; }
+    const std::uint64_t* data() const { return onHeap() ? heap_ : inline_; }
+    std::uint64_t* data() { return onHeap() ? heap_ : inline_; }
+    /// Constructors only (inline storage starts zeroed): size the word to
+    /// `bits` trits, all X.
+    void allocate(std::size_t bits);
+    /// Take `other`'s storage, leaving it empty; storage is unset.
+    void steal(TernaryWord& other);
+    void release();
+    Trit get(std::size_t i) const;
+    void set(std::size_t i, Trit t);
+
+    std::size_t bits_ = 0;
+    /// value words, then care words: wordCount() each.
+    union {
+        std::uint64_t inline_[2 * kInlineBits / 64] = {};
+        std::uint64_t* heap_;
+    };
 };
 
 /// The trit-byte form the wire protocol and the entry delta log share: one

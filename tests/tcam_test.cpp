@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,6 +78,197 @@ TEST(Ternary, UncheckedPathsAgreeWithChecked) {
     // The checked entry points still reject width mismatches.
     EXPECT_THROW(TernaryWord(4).matches(TernaryWord(5)), std::invalid_argument);
     EXPECT_THROW(TernaryWord(4).mismatchCount(TernaryWord(5)), std::invalid_argument);
+}
+
+namespace {
+
+// The packed word across its storage edges: empty, one word, the word
+// boundary, the inline limit (128) and heap storage.
+constexpr std::size_t kEdgeWidths[] = {0, 1, 63, 64, 65, 128, 129, 256};
+
+Trit randomTrit(numeric::Rng& rng) {
+    return static_cast<Trit>(rng.uniformInt(0, 2));
+}
+
+TernaryWord randomTernary(numeric::Rng& rng, std::size_t bits) {
+    TernaryWord w(bits);
+    for (std::size_t b = 0; b < bits; ++b) w[b] = randomTrit(rng);
+    return w;
+}
+
+}  // namespace
+
+TEST(TernaryWord, StringAndTritBytesRoundTripAtEveryWidth) {
+    numeric::Rng rng(31);
+    for (const std::size_t bits : kEdgeWidths) {
+        SCOPED_TRACE(bits);
+        std::string text(bits, '?');
+        for (auto& c : text) c = "01X"[rng.uniformInt(0, 2)];
+        const auto w = TernaryWord::fromString(text);
+        EXPECT_EQ(w.size(), bits);
+        EXPECT_EQ(w.toString(), text);
+        std::string bytes = "prefix";
+        tcam::appendTritBytes(bytes, w);
+        ASSERT_EQ(bytes.size(), 6 + bits);
+        for (std::size_t b = 0; b < bits; ++b)
+            EXPECT_EQ(bytes[6 + b], static_cast<char>(w[b])) << "trit " << b;
+        EXPECT_EQ(tcam::parseTritBytes(std::string_view(bytes).substr(6)), w);
+    }
+}
+
+TEST(TernaryWord, CopyMoveAndSelfAssignmentAcrossInlineAndHeap) {
+    numeric::Rng rng(37);
+    for (const std::size_t from : kEdgeWidths)
+        for (const std::size_t to : kEdgeWidths) {
+            SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+            const auto source = randomTernary(rng, from);
+            const std::string text = source.toString();
+            TernaryWord copied = randomTernary(rng, to);
+            copied = source;
+            EXPECT_EQ(copied, source);
+            EXPECT_EQ(copied.toString(), text);
+            TernaryWord moved = randomTernary(rng, to);
+            moved = TernaryWord(source);
+            EXPECT_EQ(moved, source);
+            TernaryWord constructed(std::move(copied));
+            EXPECT_EQ(constructed.toString(), text);
+            EXPECT_TRUE(copied.empty());
+            // Writes to a copy never reach its source.
+            if (from > 0) {
+                TernaryWord changed(source);
+                changed[from - 1] = source[from - 1] == Trit::X ? Trit::One : Trit::X;
+                EXPECT_NE(changed, source);
+                EXPECT_EQ(source.toString(), text);
+            }
+        }
+    for (const std::size_t bits : kEdgeWidths) {
+        auto w = randomTernary(rng, bits);
+        const std::string text = w.toString();
+        auto& alias = w;
+        w = alias;
+        EXPECT_EQ(w.toString(), text);
+        w = std::move(alias);
+        EXPECT_EQ(w.toString(), text);
+    }
+}
+
+TEST(TernaryWord, ProxyWritesMatchAPerTritModel) {
+    numeric::Rng rng(41);
+    for (const std::size_t bits : kEdgeWidths) {
+        if (bits == 0) continue;
+        SCOPED_TRACE(bits);
+        TernaryWord w(bits, Trit::One);
+        std::vector<Trit> model(bits, Trit::One);
+        for (int step = 0; step < 400; ++step) {
+            const auto i = static_cast<std::size_t>(rng.uniformInt(0, static_cast<int>(bits) - 1));
+            if (rng.bernoulli(0.5)) {
+                const auto j =
+                    static_cast<std::size_t>(rng.uniformInt(0, static_cast<int>(bits) - 1));
+                w[i] = w[j];
+                model[i] = model[j];
+            } else {
+                const Trit t = randomTrit(rng);
+                w[i] = t;
+                model[i] = t;
+            }
+        }
+        for (std::size_t b = 0; b < bits; ++b) ASSERT_EQ(w[b], model[b]) << "trit " << b;
+        // The same trits written in one go compare equal: X bits and padding
+        // hold no stale value.
+        TernaryWord fresh(bits);
+        for (std::size_t b = 0; b < bits; ++b) fresh[b] = model[b];
+        EXPECT_EQ(w, fresh);
+    }
+}
+
+TEST(TernaryWord, ParseTritBytesRejectsAThreeAtWordEdges) {
+    for (const std::size_t bits : kEdgeWidths) {
+        if (bits == 0) continue;
+        for (const std::size_t at : {std::size_t{0}, std::size_t{63}, std::size_t{64}, bits - 1}) {
+            if (at >= bits) continue;
+            SCOPED_TRACE(std::to_string(bits) + " @ " + std::to_string(at));
+            std::string bytes(bits, '\2');
+            EXPECT_TRUE(tcam::parseTritBytes(bytes).has_value());
+            bytes[at] = 3;
+            EXPECT_FALSE(tcam::parseTritBytes(bytes).has_value());
+            bytes[at] = static_cast<char>(0x81);
+            EXPECT_FALSE(tcam::parseTritBytes(bytes).has_value());
+        }
+    }
+}
+
+TEST(TernaryWord, MatchAndMismatchCountAgreeWithPerTritLoop) {
+    numeric::Rng rng(43);
+    for (const std::size_t bits : kEdgeWidths) {
+        SCOPED_TRACE(bits);
+        for (int trial = 0; trial < 50; ++trial) {
+            const auto stored = randomTernary(rng, bits);
+            // Every third key is the stored word with a few trits flipped, so
+            // matches come up as well as misses.
+            auto key = randomTernary(rng, bits);
+            if (trial % 3 == 0) {
+                key = stored;
+                for (int f = 0; f < 2 && bits > 0; ++f) {
+                    const auto i =
+                        static_cast<std::size_t>(rng.uniformInt(0, static_cast<int>(bits) - 1));
+                    key[i] = randomTrit(rng);
+                }
+            }
+            std::size_t expected = 0;
+            for (std::size_t b = 0; b < bits; ++b) expected += !tritMatches(stored[b], key[b]);
+            EXPECT_EQ(stored.mismatchCount(key), expected);
+            EXPECT_EQ(stored.matches(key), expected == 0);
+            std::size_t wildcards = 0;
+            for (std::size_t b = 0; b < bits; ++b) wildcards += stored[b] == Trit::X;
+            EXPECT_EQ(stored.wildcardCount(), wildcards);
+        }
+    }
+}
+
+TEST(TernaryPlanes, MismatchCountsAbove255AndOnAPartialGroup) {
+    // 512-bit all-definite rows: random rows differ from a definite key in
+    // ~256 positions and the complement row in all 512, so counts need the
+    // second byte of counter planes. 1024 + 70 rows leave a partial last
+    // group; every fifth row is unoccupied and must read kNoEntry.
+    constexpr int kBits = 512;
+    constexpr std::int64_t kRows = 1024 + 70;
+    numeric::Rng rng(47);
+    tcam::TernaryPlanes planes(kBits, kRows);
+    std::vector<std::optional<TernaryWord>> reference(static_cast<std::size_t>(kRows));
+    for (std::int64_t r = 0; r < kRows; ++r) {
+        if (r % 5 == 3) continue;
+        TernaryWord w(kBits);
+        for (std::size_t b = 0; b < kBits; ++b) w[b] = rng.bernoulli(0.5) ? Trit::One : Trit::Zero;
+        planes.set(r, w);
+        reference[static_cast<std::size_t>(r)] = w;
+    }
+    // Keys: the complement of the first and of the last occupied row (count
+    // 512 on each), and one with a few X trits.
+    std::vector<TernaryWord> keys;
+    for (const std::int64_t r : {std::int64_t{0}, kRows - 2}) {
+        TernaryWord key = *reference[static_cast<std::size_t>(r)];
+        for (std::size_t b = 0; b < kBits; ++b)
+            key[b] = key[b] == Trit::One ? Trit::Zero : Trit::One;
+        keys.push_back(key);
+    }
+    keys.push_back(keys[0]);
+    for (std::size_t b = 0; b < kBits; b += 7) keys.back()[b] = Trit::X;
+    std::size_t above255 = 0;
+    for (const auto& key : keys) {
+        std::vector<std::size_t> got(static_cast<std::size_t>(kRows), 0xdead);
+        planes.mismatchCounts(tcam::TernaryPlanes::prepare(key), got.data());
+        for (std::int64_t r = 0; r < kRows; ++r) {
+            const auto& slot = reference[static_cast<std::size_t>(r)];
+            ASSERT_EQ(got[static_cast<std::size_t>(r)],
+                      slot ? slot->mismatchCount(key) : tcam::kNoEntry)
+                << "row " << r;
+            above255 += slot && slot->mismatchCount(key) > 255;
+        }
+    }
+    EXPECT_GT(above255, 500u);
+    std::vector<std::size_t> got(static_cast<std::size_t>(kRows));
+    planes.mismatchCounts(tcam::TernaryPlanes::prepare(keys[0]), got.data());
+    EXPECT_EQ(got[0], 512u);
 }
 
 TEST(TernaryPlanes, OverwriteDecodesEveryTritTransitionExactly) {
